@@ -127,18 +127,20 @@ fn run_dir(tag: &str) -> PathBuf {
     run_root().join(tag)
 }
 
-/// Spawn the daemon and run `seed_table` on a fresh connection,
-/// `repeats` times; keep the last daemon. Returns the set-up times.
+/// Spawn the daemon (in its own directory `dir<k>`) and run
+/// `seed_table` on a fresh connection, `repeats` times; keep the last
+/// daemon. Returns the set-up times.
 fn socket_setups<T>(
     args: &Args,
     repeats: usize,
     registry: &str,
+    dir: &str,
     mut seed_table: impl FnMut(&mut Socket) -> Result<T, String>,
 ) -> Result<(Vec<f64>, Daemon, Socket, T), String> {
     let mut times = Vec::new();
     for k in 0.. {
         let t0 = Instant::now();
-        let daemon = Daemon::spawn(&args.catmark, &run_dir(&format!("daemon{k}")), registry)?;
+        let daemon = Daemon::spawn(&args.catmark, &run_dir(&format!("{dir}{k}")), registry)?;
         let mut ep = Socket(daemon.connect()?);
         let state = seed_table(&mut ep)?;
         times.push(t0.elapsed().as_secs_f64());
@@ -151,6 +153,37 @@ fn socket_setups<T>(
     unreachable!("the loop returns on its last set-up")
 }
 
+/// Run `round` until `seconds` of measurement have passed. `extra`
+/// further set-ups run at evenly spaced points of the run, so that
+/// `setup_s` samples the host across the run and not only at its
+/// start; the time they take is not measured. Returns the measured
+/// time, the extra set-up times and the rounds run.
+fn run_rounds(
+    seconds: u64,
+    extra: usize,
+    mut setup: impl FnMut() -> Result<f64, String>,
+    mut round: impl FnMut() -> Result<(), String>,
+) -> Result<(Duration, Vec<f64>, usize), String> {
+    let run = Duration::from_secs(seconds);
+    let every = run / u32::try_from(extra + 1).expect("few set-ups");
+    let start = Instant::now();
+    let (mut paused, mut setups, mut rounds) = (Duration::ZERO, Vec::new(), 0);
+    loop {
+        let measured = start.elapsed() - paused;
+        if measured >= run {
+            return Ok((measured, setups, rounds));
+        }
+        if setups.len() < extra && measured >= every * (setups.len() as u32 + 1) {
+            let t0 = Instant::now();
+            setups.push(setup()?);
+            paused += t0.elapsed();
+        } else {
+            round()?;
+            rounds += 1;
+        }
+    }
+}
+
 /// A final `hello`: its `cache_stats` are the daemon's cache counters.
 fn final_hello(ep: &mut Socket) -> Result<Value, String> {
     let resp = json::parse(&ep.call("hello", r#"{"op":"hello","tenant":"bench"}"#)?)?;
@@ -160,20 +193,29 @@ fn final_hello(ep: &mut Socket) -> Result<Value, String> {
 
 fn distribute(args: &Args, repeats: usize) -> Result<Outcome, String> {
     let ds = Dataset::new(workload::DISTRIBUTE_ROWS, args.seed);
+    let registry = ds.registry();
     let mut setup_rec = Recorder::default();
-    let (setup_s, daemon, mut ep, mut d) = socket_setups(args, repeats, &ds.registry(), |ep| {
-        workload::Distribute::setup(ds.clone(), args.seed, ep, &mut setup_rec)
-    })?;
+    let mut seed_table =
+        |ep: &mut Socket| workload::Distribute::setup(ds.clone(), args.seed, ep, &mut setup_rec);
+    let (mut setup_s, daemon, mut ep, mut d) =
+        socket_setups(args, 1, &registry, "daemon", &mut seed_table)?;
     let mut rec = Recorder::default();
-    let start = Instant::now();
-    let mut rounds = 0;
     let cpu_start = daemon.cpu_ms();
-    while start.elapsed() < Duration::from_secs(args.seconds) {
-        d.round(&mut ep, &mut rec)?;
-        rounds += 1;
-    }
+    let mut extra = 0;
+    let (measured, extra_setups, rounds) = run_rounds(
+        args.seconds,
+        repeats - 1,
+        || {
+            extra += 1;
+            let dir = format!("extra{extra}-");
+            let (times, other, _, _) = socket_setups(args, 1, &registry, &dir, &mut seed_table)?;
+            other.shutdown()?;
+            Ok(times[0])
+        },
+        || d.round(&mut ep, &mut rec),
+    )?;
+    setup_s.extend(extra_setups);
     let cpu_ms = daemon.cpu_ms() - cpu_start;
-    let measured = start.elapsed();
     let cache_stats = Some(final_hello(&mut ep)?);
     let peak_rss_mb = daemon.peak_rss_mb()?;
     drop(ep);
@@ -194,7 +236,7 @@ fn audit(args: &Args, repeats: usize) -> Result<Outcome, String> {
     let registry = ds.registry();
     let mut setup_rec = Recorder::default();
     let (setup_s, daemon, mut writer_ep, mut table) =
-        socket_setups(args, repeats, &registry, |ep| {
+        socket_setups(args, repeats, &registry, "daemon", |ep| {
             workload::audit_setup(&ds, args.seed, ep, &mut setup_rec)
         })?;
     let mut reader_ep = Socket(daemon.connect()?);
@@ -252,29 +294,37 @@ fn audit(args: &Args, repeats: usize) -> Result<Outcome, String> {
 }
 
 fn cli_court(args: &Args, repeats: usize) -> Result<Outcome, String> {
-    let mut setup_s = Vec::new();
-    let mut court = None;
-    for k in 0..repeats {
-        let dir = run_dir(&format!("court{k}"));
-        let t0 = Instant::now();
-        let c = cli::Court::setup(&args.catmark, &dir, args.seed)?;
-        setup_s.push(t0.elapsed().as_secs_f64());
-        court = Some(c);
-    }
-    let mut court = court.expect("at least one set-up");
+    let mut setups = 0;
+    // Set-up k: a fresh directory, the CSV file written, the key made.
+    // Returns the court, its set-up time and the CPU its keygen used.
+    let mut setup = || {
+        let dir = run_dir(&format!("court{setups}"));
+        setups += 1;
+        let (t0, cpu0) = (Instant::now(), cli::children_cpu_ms());
+        let court = cli::Court::setup(&args.catmark, &dir, args.seed)?;
+        Ok::<_, String>((court, t0.elapsed().as_secs_f64(), cli::children_cpu_ms() - cpu0))
+    };
+    let (mut court, first_s, _) = setup()?;
     let mut rec = Recorder::default();
-    let start = Instant::now();
-    let mut rounds = 0;
     let cpu_start = cli::children_cpu_ms();
-    while start.elapsed() < Duration::from_secs(args.seconds) {
-        court.round(&mut rec)?;
-        rounds += 1;
-    }
-    let cpu_ms = cli::children_cpu_ms() - cpu_start;
+    let mut setup_cpu = 0.0;
+    let (measured, extra_setups, rounds) = run_rounds(
+        args.seconds,
+        repeats - 1,
+        || {
+            let (_, secs, cpu) = setup()?;
+            setup_cpu += cpu;
+            Ok(secs)
+        },
+        || court.round(&mut rec).map(drop),
+    )?;
+    let cpu_ms = cli::children_cpu_ms() - cpu_start - setup_cpu;
+    let mut setup_s = vec![first_s];
+    setup_s.extend(extra_setups);
     Ok(Outcome {
         recs: vec![rec],
         setup_s,
-        measured: start.elapsed(),
+        measured,
         peak_rss_mb: cli::children_peak_rss_mb(),
         cache_stats: None,
         rounds: vec![rounds],
