@@ -243,20 +243,16 @@ fn audit(args: &Args, repeats: usize) -> Result<Outcome, String> {
     workload::hello(&mut reader_ep, &mut setup_rec)?.ok_or("reader hello failed")?;
     let mut reader = workload::AuditReader::new(args.seed, table.expectations(), &ds.mark);
     let run = Duration::from_secs(args.seconds);
+    // The reader sends the writer the instant each update falls due;
+    // the writer times the update from then.
+    let (due_tx, due_rx) = std::sync::mpsc::channel::<Instant>();
     let cpu_start = daemon.cpu_ms();
     let start = Instant::now();
     let (reader_out, writer_out) = std::thread::scope(|scope| {
         let writer = scope.spawn(|| -> Result<(Recorder, usize), String> {
             let mut rec = Recorder::default();
             let mut updates = 0;
-            for k in 0.. {
-                let due = start + workload::WRITER_PERIOD * k;
-                if due >= start + run {
-                    break;
-                }
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
+            for due in due_rx {
                 rec.lateness_ms.push(workload::ms(Instant::now() - due));
                 table.update(&ds, &mut writer_ep, &mut rec, Some(due))?;
                 updates += 1;
@@ -269,9 +265,15 @@ fn audit(args: &Args, repeats: usize) -> Result<Outcome, String> {
             while start.elapsed() < run {
                 reader.step(&mut reader_ep, &mut rec)?;
                 steps += 1;
+                if steps % workload::WRITER_EVERY == 0 {
+                    // A writer that failed has stopped receiving; its
+                    // error is reported when it is joined.
+                    let _ = due_tx.send(Instant::now());
+                }
             }
             Ok::<_, String>((rec, steps))
         })();
+        drop(due_tx);
         (reader_out, writer.join().expect("writer thread panicked"))
     });
     let (reader_rec, steps) = reader_out?;

@@ -410,7 +410,7 @@ fn replay_distribute(args: &Args, rounds: usize) -> Result<Replay, String> {
     Ok(Replay { tracers: vec![ep.t], rec, cli_overhead_ms: Vec::new() })
 }
 
-fn replay_audit(args: &Args, steps: usize, updates: usize) -> Result<Replay, String> {
+fn replay_audit(args: &Args, steps: usize) -> Result<Replay, String> {
     let ds = Dataset::new(workload::AUDIT_ROWS, args.seed);
     let service = Mutex::new(service_for(&ds)?);
     let mirror = Mutex::new(Mirror { spec: ds.spec.clone(), session: None, fp: None, table: None });
@@ -423,23 +423,28 @@ fn replay_audit(args: &Args, steps: usize, updates: usize) -> Result<Replay, Str
     writer_ep.t.reset();
     reader_ep.t.reset();
     let mut reader = AuditReader::new(args.seed, table.expectations(), &ds.mark);
-    let start = Instant::now();
+    // The same pace as the socket run: an update after every
+    // `WRITER_EVERY` reader steps.
+    let (due_tx, due_rx) = std::sync::mpsc::channel::<Instant>();
     let (writer_out, reader_out) = std::thread::scope(|scope| {
         let writer = scope.spawn(|| -> Result<Recorder, String> {
             let mut rec = Recorder::default();
-            for k in 0..updates {
-                let due = start + workload::WRITER_PERIOD * k as u32;
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
+            for due in due_rx {
                 table.update(&ds, &mut writer_ep, &mut rec, Some(due))?;
             }
             Ok(rec)
         });
         let mut reader_rec = Recorder::default();
-        let reader_out = (0..steps)
-            .try_for_each(|_| reader.step(&mut reader_ep, &mut reader_rec))
+        let reader_out = (1..=steps)
+            .try_for_each(|k| {
+                reader.step(&mut reader_ep, &mut reader_rec)?;
+                if k % workload::WRITER_EVERY == 0 {
+                    let _ = due_tx.send(Instant::now());
+                }
+                Ok::<_, String>(())
+            })
             .map(|()| reader_rec);
+        drop(due_tx);
         (writer.join().expect("writer thread panicked"), reader_out)
     });
     rec.absorb(writer_out?);
@@ -570,7 +575,7 @@ pub fn run(args: &Args) -> Result<(Outcome, Metrics), String> {
         }
         "audit" => {
             let out = measure(&half, 1)?;
-            let replay = replay_audit(args, out.rounds[0], out.rounds[1])?;
+            let replay = replay_audit(args, out.rounds[0])?;
             (out, replay)
         }
         _ => replay_cli(args, args.seconds)?,
