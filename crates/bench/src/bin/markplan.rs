@@ -36,9 +36,9 @@
 //!   [`catmark_relation::spill::FileStore`] with a resident budget of
 //!   **1/4 of the columnar footprint** — and asserts the enforced
 //!   resident-bytes ceiling plus byte-identity against the in-memory
-//!   path, via the explicit *sequential* drivers;
-//! * **pipeline** re-runs the out-of-core round trip through the
-//!   two-stage pipelined drivers (a worker thread plans segment
+//!   path, under `Pipeline::Off` (the sequential reference);
+//! * **pipeline** re-runs the out-of-core round trip under
+//!   `Pipeline::On` (a worker thread plans segment
 //!   `i + 1` from an off-pager clone while the main thread
 //!   embeds/serializes segment `i`) and asserts byte-identity, the
 //!   unchanged pager ceiling, the one-in-flight-clone bound, and
@@ -108,7 +108,7 @@ use catmark_core::quality::{
 };
 use catmark_core::query_preserve::{CountQuery, CountQueryPreservation, Tolerance, ValueSet};
 use catmark_core::{
-    detect, verify_evidence, MarkPlan, MarkSession, VoteCache, Watermark, WatermarkSpec,
+    detect, verify_evidence, MarkPlan, MarkSession, Pipeline, VoteCache, Watermark, WatermarkSpec,
 };
 use catmark_crypto::Sha256Backend;
 use catmark_datagen::{ItemScanConfig, SalesGenerator};
@@ -448,33 +448,34 @@ fn main() {
         // Fresh session per iteration, like the plan-on scenario:
         // nothing pre-planned across iterations. Within the round
         // trip the session cache still lets decode reuse the plans
-        // embed built — the same reuse the in-memory path gets. The
-        // explicit sequential drivers keep this scenario the fixed
-        // reference point the pipeline is measured against.
+        // embed built — the same reuse the in-memory path gets.
+        // `Pipeline::Off` keeps this scenario the fixed reference
+        // point the pipeline is measured against.
         let ooc_session = bind(&spec, &rel);
         let mut seg = ooc_segmented();
         let start = Instant::now();
         ooc_session
-            .embed_segmented_sequential(&mut seg, &wm)
+            .embed_segmented_with(&mut seg, &wm, None, Pipeline::Off)
             .expect("segmented embedding succeeds");
-        let decoded =
-            ooc_session.decode_segmented_sequential(&mut seg).expect("segmented decoding succeeds");
+        let (decoded, _) = ooc_session
+            .decode_segmented_with(&mut seg, Pipeline::Off)
+            .expect("segmented decoding succeeds");
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(decoded.watermark, wm);
         ooc_best = ooc_best.min(elapsed);
     }
 
-    // Pipeline scenario — the same streamed round trip through the
-    // two-stage pipelined drivers. Correctness gate first: identical
+    // Pipeline scenario — the same streamed round trip under
+    // `Pipeline::On`. Correctness gate first: identical
     // bytes, the pager ceiling unchanged, and at most one segment
     // clone in flight.
     let (pipe_peak, pipe_inflight, pipe_prefetched, pipe_identical) = {
         let mut seg = ooc_segmented();
         let (report, embed_stats) = session
-            .embed_segmented_pipelined_with_stats(&mut seg, &wm)
+            .embed_segmented_with(&mut seg, &wm, None, Pipeline::On)
             .expect("pipelined segmented embedding succeeds");
         let (decode, decode_stats) = session
-            .decode_segmented_pipelined_with_stats(&mut seg)
+            .decode_segmented_with(&mut seg, Pipeline::On)
             .expect("pipelined segmented decoding succeeds");
         let materialized = seg.to_relation().expect("segments materialize");
         let identical = decode.watermark == wm
@@ -501,10 +502,10 @@ fn main() {
         let mut seg = ooc_segmented();
         let start = Instant::now();
         ooc_session
-            .embed_segmented_pipelined(&mut seg, &wm)
+            .embed_segmented_with(&mut seg, &wm, None, Pipeline::On)
             .expect("pipelined segmented embedding succeeds");
-        let decoded = ooc_session
-            .decode_segmented_pipelined(&mut seg)
+        let (decoded, _) = ooc_session
+            .decode_segmented_with(&mut seg, Pipeline::On)
             .expect("pipelined segmented decoding succeeds");
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(decoded.watermark, wm);
@@ -513,8 +514,11 @@ fn main() {
     let _ = std::fs::remove_file(spill_path);
 
     // Certified-evidence scenario — the segmented court-time detect
-    // with a `CMKEVD1` bundle emitted, against the sequential detect
-    // it mirrors (decode + compare, no serialization). Like the
+    // with a `CMKEVD1` bundle emitted, against the plain detect it
+    // mirrors (decode + compare, no serialization). Both sides fold
+    // the same committed version through a fresh vote cache under the
+    // same (default) pipeline mode, so the ratio isolates the evidence
+    // sink. Like the
     // out-of-core loops, each iteration starts from a cold session —
     // a court-time detection has no embed-warmed plans — so the gate
     // pins the evidence emission as a fraction of a real detection,
@@ -532,14 +536,16 @@ fn main() {
 
     // Correctness gate first: the certified verdict is the plain
     // verdict, and the emitted bundle convinces the keyless verifier.
-    let plain_decode =
-        ev_session.decode_segmented_sequential(&mut ev_seg).expect("segmented decode succeeds");
+    let plain_decode = ev_session
+        .decode_incremental(&mut ev_seg, &ev_manifest, &mut VoteCache::new())
+        .expect("segmented decode succeeds")
+        .report;
     let plain_verdict = catmark_core::session::Verdict {
         detection: detect(&plain_decode.watermark, &wm),
         decode: plain_decode,
     };
     let ev_certified = ev_session
-        .detect_certified_segmented(&mut ev_seg, &wm, &ev_manifest)
+        .detect_certified_incremental(&mut ev_seg, &wm, &ev_manifest, &mut VoteCache::new())
         .expect("certified segmented detect succeeds");
     assert_eq!(
         ev_certified.outcome, plain_verdict,
@@ -554,16 +560,17 @@ fn main() {
     for _ in 0..ITERS {
         let cold = bind(&spec, &plan_marked);
         let start = Instant::now();
-        let report =
-            cold.decode_segmented_sequential(&mut ev_seg).expect("segmented decode succeeds");
-        let verdict = detect(&report.watermark, &wm);
+        let decoded = cold
+            .decode_incremental(&mut ev_seg, &ev_manifest, &mut VoteCache::new())
+            .expect("segmented decode succeeds");
+        let verdict = detect(&decoded.report.watermark, &wm);
         detect_plain_best = detect_plain_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(verdict.matched_bits);
 
         let cold = bind(&spec, &plan_marked);
         let start = Instant::now();
         let certified = cold
-            .detect_certified_segmented(&mut ev_seg, &wm, &ev_manifest)
+            .detect_certified_incremental(&mut ev_seg, &wm, &ev_manifest, &mut VoteCache::new())
             .expect("certified segmented detect succeeds");
         detect_certified_best = detect_certified_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(certified.bundle.len());
@@ -682,8 +689,10 @@ fn main() {
     // per-recipient reference exactly — same ranking, same bit
     // counts, same court-time odds — and finger the right recipient.
     let batched_results = fingerprints.trace(&leaked).expect("batched trace succeeds");
-    let sequential_results =
-        fingerprints.trace_sequential(&leaked).expect("sequential trace succeeds");
+    let sequential_results = fingerprints
+        .registry()
+        .trace_sequential(&leaked, "visit_nbr", "item_nbr")
+        .expect("sequential trace succeeds");
     assert_eq!(batched_results.len(), FP_BUYERS);
     let fp_identical = batched_results.len() == sequential_results.len()
         && batched_results.iter().zip(&sequential_results).all(|(a, b)| {
@@ -704,7 +713,10 @@ fn main() {
     let mut fp_sequential_best = f64::MAX;
     for _ in 0..ITERS {
         let start = Instant::now();
-        let results = fingerprints.trace_sequential(&leaked).expect("sequential trace succeeds");
+        let results = fingerprints
+            .registry()
+            .trace_sequential(&leaked, "visit_nbr", "item_nbr")
+            .expect("sequential trace succeeds");
         fp_sequential_best = fp_sequential_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(results.len());
     }
@@ -797,7 +809,7 @@ fn main() {
         .store(Box::new(churn_store.clone()))
         .from_relation(&rel)
         .expect("segmentation succeeds");
-    session.embed_segmented_sequential(&mut churn_seg, &wm).expect("base embed succeeds");
+    session.embed_segmented(&mut churn_seg, &wm).expect("base embed succeeds");
     let mut marked_id = churn_log.commit(&mut churn_seg, &churn_store).expect("commit succeeds");
 
     let churn_seg_count = churn_seg.segment_count();
@@ -833,7 +845,7 @@ fn main() {
         let mut twin = churn_log
             .open_version(current_id, rel.schema(), &churn_store, None)
             .expect("version reopens");
-        session.embed_segmented_sequential(&mut twin, &wm).expect("full re-pass succeeds");
+        session.embed_segmented(&mut twin, &wm).expect("full re-pass succeeds");
         let inc = session
             .embed_incremental(&mut churn_seg, &wm, &marked_m, &current_m)
             .expect("incremental re-mark succeeds");
@@ -856,8 +868,7 @@ fn main() {
         churn_log.commit(&mut twin, &churn_store).expect("commit succeeds");
         // Warm the vote cache and gate the incremental decode against
         // the full streaming decode.
-        let full_decode =
-            session.decode_segmented_sequential(&mut churn_seg).expect("full decode succeeds");
+        let full_decode = session.decode_segmented(&mut churn_seg).expect("full decode succeeds");
         let inc_decode = session
             .decode_incremental(&mut churn_seg, &remarked_m, &mut vote_cache)
             .expect("incremental decode succeeds");
@@ -878,12 +889,11 @@ fn main() {
             .open_version(current_id, rel.schema(), &churn_store, None)
             .expect("version reopens");
 
-        // Full re-pass + full streaming decode over the twin.
+        // Full re-pass + full streaming decode over the twin, in the
+        // same (default) pipeline mode as the incremental pass below.
         let start = Instant::now();
-        let full_report =
-            session.embed_segmented_sequential(&mut twin, &wm).expect("full re-pass succeeds");
-        let full_decode =
-            session.decode_segmented_sequential(&mut twin).expect("full decode succeeds");
+        let full_report = session.embed_segmented(&mut twin, &wm).expect("full re-pass succeeds");
+        let full_decode = session.decode_segmented(&mut twin).expect("full decode succeeds");
         churn_full_best = churn_full_best.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(full_report.altered);
 

@@ -106,13 +106,7 @@ pub fn inject_fit_tuples(
     synthesizer: &mut dyn KeySynthesizer,
 ) -> Result<AdditionReport, CoreError> {
     let InjectionParams { count, max_attempts, seed } = params;
-    if wm.len() != spec.wm_len {
-        return Err(CoreError::InvalidSpec(format!(
-            "watermark has {} bits but the spec declares {}",
-            wm.len(),
-            spec.wm_len
-        )));
-    }
+    spec.check_mark(wm)?;
     if rel.is_empty() {
         return Err(CoreError::EmptyEmbedding);
     }

@@ -27,9 +27,11 @@
 
 use catmark_relation::Relation;
 
-use crate::decode::{DecodeReport, Decoder};
+use crate::decode::{DecodeReport, VoteAccumulator};
 use crate::detect::{detect, Detection};
 use crate::error::CoreError;
+use crate::fold::{Fold, Folded, Pipeline, Source};
+use crate::plan::PlanCache;
 use crate::spec::{Watermark, WatermarkSpec};
 
 /// One party's ownership claim: their spec (keys) and asserted mark.
@@ -136,45 +138,73 @@ pub fn evidence(
     key_attr: &str,
     target_attr: &str,
 ) -> Result<ClaimEvidence, CoreError> {
-    evidence_with_cache(claim, rel, key_attr, target_attr, &crate::plan::PlanCache::new())
-}
-
-/// [`evidence`] over a shared [`crate::plan::PlanCache`].
-///
-/// Plans are keyed per claimant spec, so the cache does **not** save
-/// work *across* claims (each claimant's keys require their own hash
-/// pass); it pays when the *same* claim's evidence is gathered more
-/// than once against the same data — re-running a contest after new
-/// filings, or auditing a verdict.
-///
-/// # Errors
-///
-/// Attribute-resolution failures.
-pub fn evidence_with_cache(
-    claim: &Claim,
-    rel: &Relation,
-    key_attr: &str,
-    target_attr: &str,
-    cache: &crate::plan::PlanCache,
-) -> Result<ClaimEvidence, CoreError> {
     let key_idx = rel.schema().index_of(key_attr)?;
     let attr_idx = rel.schema().index_of(target_attr)?;
-    let plan = cache.plan_for(&claim.spec, rel, key_idx)?;
-    let decode = Decoder::engine(&claim.spec).decode_with_plan(
-        rel,
-        attr_idx,
-        &crate::ecc::MajorityVotingEcc,
-        &plan,
-    )?;
+    Ok(gather(claim, rel, key_idx, attr_idx, &PlanCache::new(), false)?.0)
+}
+
+/// One claim's evidence through the vote fold, plus the whole
+/// relation's tally when `keep` (the certified contest serializes it).
+pub(crate) fn gather(
+    claim: &Claim,
+    rel: &Relation,
+    key_idx: usize,
+    attr_idx: usize,
+    plans: &PlanCache,
+    keep: bool,
+) -> Result<(ClaimEvidence, Vec<VoteAccumulator>), CoreError> {
+    let fold = Fold { spec: &claim.spec, key_idx, attr_idx, plans };
+    let Folded { report: decode, tallies, .. } =
+        fold.votes(Source::Whole(rel), keep, Pipeline::Off)?;
     let detection = detect(&decode.watermark, &claim.watermark);
     let voted = decode.positions_observed.max(1);
     let unanimous = decode.positions_observed - decode.position_conflicts;
-    Ok(ClaimEvidence {
+    let evidence = ClaimEvidence {
         claimant: claim.claimant.clone(),
         decode,
         detection,
         vote_unanimity: unanimous as f64 / voted as f64,
-    })
+    };
+    Ok((evidence, tallies))
+}
+
+/// The contest rule over measured facts, each side given as
+/// `(claimant, present, vote unanimity)`: presence first, then the
+/// damage fingerprint — when both marks are present, the one whose
+/// unanimity is lower by more than `unanimity_margin` is presumed
+/// earlier. The fast and certified contests and the keyless evidence
+/// verifier all judge through this one rule.
+pub(crate) fn judge(
+    (a, a_present, a_unanimity): (&str, bool, f64),
+    (b, b_present, b_unanimity): (&str, bool, f64),
+    unanimity_margin: f64,
+) -> ContestOutcome {
+    match (a_present, b_present) {
+        (false, false) => ContestOutcome::NeitherClaim,
+        (true, false) => ContestOutcome::OnlyClaim(a.to_owned()),
+        (false, true) => ContestOutcome::OnlyClaim(b.to_owned()),
+        (true, true) if a_unanimity + unanimity_margin < b_unanimity => {
+            ContestOutcome::EarlierClaim(a.to_owned())
+        }
+        (true, true) if b_unanimity + unanimity_margin < a_unanimity => {
+            ContestOutcome::EarlierClaim(b.to_owned())
+        }
+        (true, true) => ContestOutcome::Indeterminate,
+    }
+}
+
+/// [`judge`] over two gathered claims at significance `alpha`.
+pub(crate) fn judge_claims(
+    a: &ClaimEvidence,
+    b: &ClaimEvidence,
+    alpha: f64,
+    unanimity_margin: f64,
+) -> ContestOutcome {
+    judge(
+        (&a.claimant, a.is_present(alpha), a.vote_unanimity),
+        (&b.claimant, b.is_present(alpha), b.vote_unanimity),
+        unanimity_margin,
+    )
 }
 
 /// Resolve a two-party contest over `rel`.
@@ -198,53 +228,9 @@ pub fn resolve(
     alpha: f64,
     unanimity_margin: f64,
 ) -> Result<(ContestOutcome, ClaimEvidence, ClaimEvidence), CoreError> {
-    resolve_with_cache(
-        a,
-        b,
-        rel,
-        key_attr,
-        target_attr,
-        alpha,
-        unanimity_margin,
-        &crate::plan::PlanCache::new(),
-    )
-}
-
-/// [`resolve`] over a shared [`crate::plan::PlanCache`] — what a
-/// [`crate::session::MarkSession`] passes so re-running the same
-/// contest (new filings, audits) replans nothing.
-///
-/// # Errors
-///
-/// Attribute-resolution failures.
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_with_cache(
-    a: &Claim,
-    b: &Claim,
-    rel: &Relation,
-    key_attr: &str,
-    target_attr: &str,
-    alpha: f64,
-    unanimity_margin: f64,
-    cache: &crate::plan::PlanCache,
-) -> Result<(ContestOutcome, ClaimEvidence, ClaimEvidence), CoreError> {
-    let ev_a = evidence_with_cache(a, rel, key_attr, target_attr, cache)?;
-    let ev_b = evidence_with_cache(b, rel, key_attr, target_attr, cache)?;
-    let outcome = match (ev_a.is_present(alpha), ev_b.is_present(alpha)) {
-        (false, false) => ContestOutcome::NeitherClaim,
-        (true, false) => ContestOutcome::OnlyClaim(ev_a.claimant.clone()),
-        (false, true) => ContestOutcome::OnlyClaim(ev_b.claimant.clone()),
-        (true, true) => {
-            if ev_a.vote_unanimity + unanimity_margin < ev_b.vote_unanimity {
-                ContestOutcome::EarlierClaim(ev_a.claimant.clone())
-            } else if ev_b.vote_unanimity + unanimity_margin < ev_a.vote_unanimity {
-                ContestOutcome::EarlierClaim(ev_b.claimant.clone())
-            } else {
-                ContestOutcome::Indeterminate
-            }
-        }
-    };
-    Ok((outcome, ev_a, ev_b))
+    let ev_a = evidence(a, rel, key_attr, target_attr)?;
+    let ev_b = evidence(b, rel, key_attr, target_attr)?;
+    Ok((judge_claims(&ev_a, &ev_b, alpha, unanimity_margin), ev_a, ev_b))
 }
 
 /// The additive attack itself: embed `attacker_claim`'s mark over

@@ -181,20 +181,6 @@ impl<'a> Decoder<'a> {
                 "mark plan was built for a different spec or relation".into(),
             ));
         }
-        self.decode_with_plan_trusted(rel, attr_idx, ecc, plan)
-    }
-
-    /// [`Decoder::decode_with_plan`] minus the plan-staleness
-    /// fingerprint pass — for plans the caller *just* obtained from a
-    /// [`crate::plan::PlanCache`] lookup over the same relation, where
-    /// the cache key already proved content identity.
-    pub(crate) fn decode_with_plan_trusted(
-        &self,
-        rel: &Relation,
-        attr_idx: usize,
-        ecc: &dyn ErrorCorrectingCode,
-        plan: &MarkPlan,
-    ) -> Result<DecodeReport, CoreError> {
         let mut votes = VoteAccumulator::new(self.spec.wm_data_len);
         votes.accumulate(self.spec, rel, attr_idx, plan);
         self.resolve(ecc, votes)
@@ -301,20 +287,7 @@ impl VoteAccumulator {
         attr_idx: usize,
         plan: &MarkPlan,
     ) {
-        self.accumulate_rows(spec, rel, attr_idx, plan.fit());
-    }
-
-    /// [`VoteAccumulator::accumulate`] over an explicit slice of
-    /// planned rows — the evidence layer partitions one monolithic
-    /// plan at segment boundaries (a segment's plan is an exact slice
-    /// of the monolithic one) and tallies each partition separately.
-    pub(crate) fn accumulate_rows(
-        &mut self,
-        spec: &WatermarkSpec,
-        rel: &Relation,
-        attr_idx: usize,
-        rows: &[crate::plan::PlannedRow],
-    ) {
+        let rows = plan.fit();
         self.fit_tuples += rows.len();
         match rel.column(attr_idx) {
             ColumnView::Int(xs) => {

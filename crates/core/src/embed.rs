@@ -53,6 +53,21 @@ pub struct EmbedReport {
 }
 
 impl EmbedReport {
+    /// The report of a pass over `total_tuples` tuples and
+    /// `positions_total` `wm_data` positions, before it visits any.
+    pub(crate) fn new(total_tuples: usize, positions_total: usize) -> Self {
+        EmbedReport {
+            total_tuples,
+            fit_tuples: 0,
+            altered: 0,
+            unchanged: 0,
+            vetoed: 0,
+            positions_covered: 0,
+            positions_total,
+            touched_rows: Vec::new(),
+        }
+    }
+
     /// Fraction of the relation altered — the data-distortion cost the
     /// paper trades against resilience (Figure 5's x-axis is driven by
     /// this through `e`).
@@ -188,23 +203,11 @@ impl<'a> Embedder<'a> {
         guard: Option<&mut QualityGuard>,
         plan: &MarkPlan,
     ) -> Result<EmbedReport, CoreError> {
-        if wm.len() != self.spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                self.spec.wm_len
-            )));
-        }
+        self.spec.check_mark(wm)?;
         let wm_data = ecc.encode(wm, self.spec.wm_data_len);
         let mut report = EmbedReport {
-            total_tuples: plan.rows(),
             fit_tuples: plan.fit().len(),
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: self.spec.wm_data_len,
-            touched_rows: Vec::new(),
+            ..EmbedReport::new(plan.rows(), self.spec.wm_data_len)
         };
         let mut covered = vec![false; self.spec.wm_data_len];
         self.embed_pass(rel, attr_idx, &wm_data, guard, plan, 0, &mut covered, &mut report)?;
@@ -416,23 +419,12 @@ impl<'a> Embedder<'a> {
         plan: &MarkPlan,
         table: &DeltaDomainTable,
     ) -> Result<(MarkDelta, EmbedReport), CoreError> {
-        if wm.len() != self.spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                self.spec.wm_len
-            )));
-        }
+        self.spec.check_mark(wm)?;
         let wm_data = ecc.encode(wm, self.spec.wm_data_len);
         let mut report = EmbedReport {
-            total_tuples: plan.rows(),
             fit_tuples: plan.fit().len(),
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: self.spec.wm_data_len,
             touched_rows: Vec::with_capacity(plan.fit().len()),
+            ..EmbedReport::new(plan.rows(), self.spec.wm_data_len)
         };
         let mut covered = vec![false; self.spec.wm_data_len];
         let delta = self.extract_delta_pass_with_table(

@@ -34,13 +34,13 @@
 use catmark_crypto::HashAlgorithm;
 use catmark_relation::{Relation, SegmentedRelation, VersionManifest};
 
-use crate::contest::{Claim, ClaimEvidence, ContestOutcome};
-use crate::decode::{DecodeReport, Decoder, ErasurePolicy, VoteAccumulator};
+use crate::contest::{gather, judge, judge_claims, Claim, ClaimEvidence, ContestOutcome};
+use crate::decode::{DecodeReport, ErasurePolicy, VoteAccumulator};
 use crate::detect::{binomial_tail_half, detect, Detection};
 use crate::error::CoreError;
+use crate::fold::{Folded, Pipeline, PipelineStats};
 use crate::incremental::VoteCache;
 use crate::keyfile::to_key_file;
-use crate::plan::spec_identity;
 use crate::session::{MarkSession, Verdict};
 use crate::spec::{Watermark, WatermarkSpec};
 
@@ -835,22 +835,14 @@ pub fn verify_evidence(bytes: &[u8]) -> Result<EvidenceSummary, CoreError> {
                     trace.own_present
                 )));
             }
-            let expected = match (trace.own_present, trace.opponent_present) {
-                (false, false) => 5,
-                (true, false) => 0,
-                (false, true) => 1,
-                (true, true) => {
-                    if trace.own_unanimity + trace.unanimity_margin < trace.opponent_unanimity {
-                        2
-                    } else if trace.opponent_unanimity + trace.unanimity_margin
-                        < trace.own_unanimity
-                    {
-                        3
-                    } else {
-                        4
-                    }
-                }
-            };
+            let expected = outcome_tag(
+                &judge(
+                    ("own", trace.own_present, trace.own_unanimity),
+                    ("opponent", trace.opponent_present, trace.opponent_unanimity),
+                    trace.unanimity_margin,
+                ),
+                "own",
+            );
             if expected != trace.outcome {
                 return Err(invalid(format!(
                     "contest outcome tag {} contradicts the recorded presence/unanimity \
@@ -896,16 +888,6 @@ fn bit_string(bits: &[bool]) -> String {
 // ------------------------------------------------------- certified drivers
 
 impl MarkSession {
-    /// Merge per-segment tallies and resolve them exactly as the fast
-    /// path does.
-    fn resolve_tallies(&self, tallies: &[VoteAccumulator]) -> Result<DecodeReport, CoreError> {
-        let mut votes = VoteAccumulator::new(self.spec().wm_data_len);
-        for tally in tallies {
-            votes.merge(tally);
-        }
-        Decoder::engine(self.spec()).resolve(&crate::ecc::MajorityVotingEcc, votes)
-    }
-
     /// [`MarkSession::decode`] plus its evidence bundle. The report is
     /// byte-identical to the fast path (one accumulation pass, one
     /// resolution — the bundle serializes the tally that pass was
@@ -915,9 +897,16 @@ impl MarkSession {
     ///
     /// As [`MarkSession::decode`].
     pub fn decode_certified(&self, rel: &Relation) -> Result<Certified<DecodeReport>, CoreError> {
-        let (report, tally, identity) = self.certified_whole_pass(rel)?;
-        let bundle = encode_bundle(self.spec(), &identity, &[tally], &report, None, None);
-        Ok(Certified { outcome: report, bundle })
+        let folded = self.fold_whole(rel, true)?;
+        let bundle = encode_bundle(
+            self.spec(),
+            &whole_identity(rel),
+            &folded.tallies,
+            &folded.report,
+            None,
+            None,
+        );
+        Ok(Certified { outcome: folded.report, bundle })
     }
 
     /// [`MarkSession::detect`] plus its evidence bundle.
@@ -930,137 +919,22 @@ impl MarkSession {
         rel: &Relation,
         claimed: &Watermark,
     ) -> Result<Certified<Verdict>, CoreError> {
-        let (report, tally, identity) = self.certified_whole_pass(rel)?;
-        let detection = detect(&report.watermark, claimed);
-        let bundle = encode_bundle(
-            self.spec(),
-            &identity,
-            &[tally],
-            &report,
-            Some((claimed, &detection)),
-            None,
-        );
-        Ok(Certified { outcome: Verdict { decode: report, detection }, bundle })
+        let folded = self.fold_whole(rel, true)?;
+        Ok(self.certify(folded, &whole_identity(rel), claimed))
     }
 
-    /// One whole-relation accumulation pass: the fast path's tally
-    /// plus the content-hash identity.
-    fn certified_whole_pass(
-        &self,
-        rel: &Relation,
-    ) -> Result<(DecodeReport, VoteAccumulator, RelationIdentity), CoreError> {
-        let spec = self.spec();
-        let plan = self.plan(rel)?;
-        let mut tally = VoteAccumulator::new(spec.wm_data_len);
-        tally.accumulate(spec, rel, self.target().index(), &plan);
-        let report = self.resolve_tallies(std::slice::from_ref(&tally))?;
-        let identity =
-            RelationIdentity::Whole { rows: rel.len() as u64, hash: whole_relation_hash(rel) };
-        Ok((report, tally, identity))
-    }
-
-    /// Certified [`MarkSession::detect`] of an in-memory relation
-    /// *against a committed version's manifest*: the monolithic plan
-    /// is partitioned at the manifest's segment boundaries so the
-    /// bundle carries the same per-segment tallies — and therefore the
-    /// same bytes — as the certified segmented and incremental drivers
-    /// over that version. A segment's plan is an exact slice of the
-    /// monolithic one, so the partitions tally identically.
+    /// Certified detection of a committed version through the vote
+    /// cache: per-segment tallies come from `cache` when the blob was
+    /// already seen and are accumulated fresh (and cached) otherwise.
+    /// A tally is a pure function of a blob's bytes under the spec's
+    /// keys, so warm and cold runs produce byte-identical bundles, and
+    /// the verdict is [`MarkSession::decode_incremental`]'s weighed
+    /// against the claim. A fresh [`VoteCache`] certifies a plain
+    /// segmented detection.
     ///
     /// # Errors
     ///
-    /// As [`MarkSession::detect`], plus [`CoreError::InvalidSpec`]
-    /// when `manifest` does not describe `rel`'s rows.
-    pub fn detect_certified_version(
-        &self,
-        rel: &Relation,
-        claimed: &Watermark,
-        manifest: &VersionManifest,
-    ) -> Result<Certified<Verdict>, CoreError> {
-        if manifest.rows() != rel.len() as u64 {
-            return Err(CoreError::InvalidSpec(format!(
-                "manifest v{} describes {} rows but the relation holds {}",
-                manifest.id,
-                manifest.rows(),
-                rel.len()
-            )));
-        }
-        let spec = self.spec();
-        let attr_idx = self.target().index();
-        let plan = self.plan(rel)?;
-        let fit = plan.fit();
-        let mut tallies = Vec::with_capacity(manifest.segments.len());
-        let mut row_base = 0u64;
-        let mut cursor = 0usize;
-        for segment in &manifest.segments {
-            row_base += segment.rows;
-            let start = cursor;
-            while cursor < fit.len() && u64::from(fit[cursor].row) < row_base {
-                cursor += 1;
-            }
-            let mut tally = VoteAccumulator::new(spec.wm_data_len);
-            tally.accumulate_rows(spec, rel, attr_idx, &fit[start..cursor]);
-            tallies.push(tally);
-        }
-        let report = self.resolve_tallies(&tallies)?;
-        let detection = detect(&report.watermark, claimed);
-        let bundle = encode_bundle(
-            spec,
-            &manifest_identity(manifest),
-            &tallies,
-            &report,
-            Some((claimed, &detection)),
-            None,
-        );
-        Ok(Certified { outcome: Verdict { decode: report, detection }, bundle })
-    }
-
-    /// Certified [`MarkSession::detect_segmented`] (sequential
-    /// reference driver): per-segment tallies are kept instead of
-    /// folded eagerly, then merged and resolved exactly as the fast
-    /// path folds them. Works out-of-core — segments stream through
-    /// the pager one at a time.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::detect_segmented`], plus
-    /// [`CoreError::InvalidSpec`] when `manifest` does not describe
-    /// `seg`.
-    pub fn detect_certified_segmented(
-        &self,
-        seg: &mut SegmentedRelation,
-        claimed: &Watermark,
-        manifest: &VersionManifest,
-    ) -> Result<Certified<Verdict>, CoreError> {
-        self.check_segmented(seg)?;
-        Self::check_manifest(seg, manifest)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let mut tallies = Vec::with_capacity(seg.segment_count());
-        for i in 0..seg.segment_count() {
-            let mut tally = VoteAccumulator::new(spec.wm_data_len);
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                tally.accumulate(spec, rel, attr_idx, &plan);
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
-            tallies.push(tally);
-        }
-        self.certify_segment_tallies(tallies, claimed, manifest)
-    }
-
-    /// Certified [`MarkSession::detect_incremental`]: per-segment
-    /// tallies come from the [`VoteCache`] when the blob was already
-    /// seen and are accumulated fresh (and cached) otherwise. A tally
-    /// is a pure function of a blob's bytes under the spec's keys, so
-    /// warm and cold runs produce byte-identical bundles.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::detect_incremental`].
+    /// As [`MarkSession::decode_incremental`].
     pub fn detect_certified_incremental(
         &self,
         seg: &mut SegmentedRelation,
@@ -1068,51 +942,41 @@ impl MarkSession {
         manifest: &VersionManifest,
         cache: &mut VoteCache,
     ) -> Result<Certified<Verdict>, CoreError> {
-        self.check_segmented(seg)?;
-        Self::check_manifest(seg, manifest)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let spec_id = spec_identity(spec);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let mut tallies = Vec::with_capacity(seg.segment_count());
-        for i in 0..seg.segment_count() {
-            let hash = manifest.segments[i].hash;
-            if let Some(tally) = cache.lookup(spec_id, &hash) {
-                tallies.push(tally.clone());
-                continue;
-            }
-            let mut tally = VoteAccumulator::new(spec.wm_data_len);
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                tally.accumulate(spec, rel, attr_idx, &plan);
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
-            cache.insert(spec_id, hash, tally.clone());
-            tallies.push(tally);
-        }
-        cache.retain_manifest(spec_id, manifest);
-        self.certify_segment_tallies(tallies, claimed, manifest)
+        Ok(self.certify_version(seg, claimed, manifest, cache, Pipeline::Auto)?.0)
     }
 
-    fn certify_segment_tallies(
+    /// [`MarkSession::detect_certified_incremental`] under an explicit
+    /// pipeline mode, plus the pass's resource counters.
+    pub(crate) fn certify_version(
         &self,
-        tallies: Vec<VoteAccumulator>,
+        seg: &mut SegmentedRelation,
         claimed: &Watermark,
         manifest: &VersionManifest,
-    ) -> Result<Certified<Verdict>, CoreError> {
-        let report = self.resolve_tallies(&tallies)?;
-        let detection = detect(&report.watermark, claimed);
+        cache: &mut VoteCache,
+        pipeline: Pipeline,
+    ) -> Result<(Certified<Verdict>, PipelineStats), CoreError> {
+        let folded = self.fold_version(seg, manifest, cache, true, pipeline)?;
+        let stats = folded.stats;
+        Ok((self.certify(folded, &manifest_identity(manifest), claimed), stats))
+    }
+
+    /// Weigh a kept-tally fold against the claim and serialize both.
+    fn certify(
+        &self,
+        folded: Folded,
+        identity: &RelationIdentity,
+        claimed: &Watermark,
+    ) -> Certified<Verdict> {
+        let detection = detect(&folded.report.watermark, claimed);
         let bundle = encode_bundle(
             self.spec(),
-            &manifest_identity(manifest),
-            &tallies,
-            &report,
+            identity,
+            &folded.tallies,
+            &folded.report,
             Some((claimed, &detection)),
             None,
         );
-        Ok(Certified { outcome: Verdict { decode: report, detection }, bundle })
+        Certified { outcome: Verdict { decode: folded.report, detection }, bundle }
     }
 
     /// Certified [`MarkSession::contest`]: the same two evidence
@@ -1134,84 +998,42 @@ impl MarkSession {
         unanimity_margin: f64,
     ) -> Result<(ContestOutcome, Certified<ClaimEvidence>, Certified<ClaimEvidence>), CoreError>
     {
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let identity =
-            RelationIdentity::Whole { rows: rel.len() as u64, hash: whole_relation_hash(rel) };
-
-        let gather = |claim: &Claim| -> Result<
-            (ClaimEvidence, VoteAccumulator, DecodeReport, Detection),
-            CoreError,
-        > {
-            let plan = self.cache().plan_for(&claim.spec, rel, key_idx)?;
-            let mut tally = VoteAccumulator::new(claim.spec.wm_data_len);
-            tally.accumulate(&claim.spec, rel, attr_idx, &plan);
-            let mut votes = VoteAccumulator::new(claim.spec.wm_data_len);
-            votes.merge(&tally);
-            let decode =
-                Decoder::engine(&claim.spec).resolve(&crate::ecc::MajorityVotingEcc, votes)?;
-            let detection = detect(&decode.watermark, &claim.watermark);
-            let voted = decode.positions_observed.max(1);
-            let unanimous = decode.positions_observed - decode.position_conflicts;
-            let evidence = ClaimEvidence {
-                claimant: claim.claimant.clone(),
-                decode: decode.clone(),
-                detection: detection.clone(),
-                vote_unanimity: unanimous as f64 / voted as f64,
+        self.check(rel)?;
+        let (key_idx, attr_idx) = (self.key().index(), self.target().index());
+        let (ev_a, tallies_a) = gather(a, rel, key_idx, attr_idx, self.cache(), true)?;
+        let (ev_b, tallies_b) = gather(b, rel, key_idx, attr_idx, self.cache(), true)?;
+        let outcome = judge_claims(&ev_a, &ev_b, alpha, unanimity_margin);
+        let identity = whole_identity(rel);
+        let certify = |claim: &Claim, own: ClaimEvidence, other: &ClaimEvidence, tallies| {
+            let trace = ContestTrace {
+                claimant: own.claimant.clone(),
+                opponent: other.claimant.clone(),
+                alpha,
+                unanimity_margin,
+                own_unanimity: own.vote_unanimity,
+                opponent_unanimity: other.vote_unanimity,
+                own_present: own.is_present(alpha),
+                opponent_present: other.is_present(alpha),
+                outcome: outcome_tag(&outcome, &own.claimant),
             };
-            Ok((evidence, tally, decode, detection))
+            let bundle = encode_bundle(
+                &claim.spec,
+                &identity,
+                tallies,
+                &own.decode,
+                Some((&claim.watermark, &own.detection)),
+                Some(&trace),
+            );
+            Certified { outcome: own, bundle }
         };
-
-        let (ev_a, tally_a, decode_a, det_a) = gather(a)?;
-        let (ev_b, tally_b, decode_b, det_b) = gather(b)?;
-        let outcome = match (ev_a.is_present(alpha), ev_b.is_present(alpha)) {
-            (false, false) => ContestOutcome::NeitherClaim,
-            (true, false) => ContestOutcome::OnlyClaim(ev_a.claimant.clone()),
-            (false, true) => ContestOutcome::OnlyClaim(ev_b.claimant.clone()),
-            (true, true) => {
-                if ev_a.vote_unanimity + unanimity_margin < ev_b.vote_unanimity {
-                    ContestOutcome::EarlierClaim(ev_a.claimant.clone())
-                } else if ev_b.vote_unanimity + unanimity_margin < ev_a.vote_unanimity {
-                    ContestOutcome::EarlierClaim(ev_b.claimant.clone())
-                } else {
-                    ContestOutcome::Indeterminate
-                }
-            }
-        };
-
-        let trace = |own: &ClaimEvidence, other: &ClaimEvidence| ContestTrace {
-            claimant: own.claimant.clone(),
-            opponent: other.claimant.clone(),
-            alpha,
-            unanimity_margin,
-            own_unanimity: own.vote_unanimity,
-            opponent_unanimity: other.vote_unanimity,
-            own_present: own.is_present(alpha),
-            opponent_present: other.is_present(alpha),
-            outcome: outcome_tag(&outcome, &own.claimant),
-        };
-        let bundle_a = encode_bundle(
-            &a.spec,
-            &identity,
-            std::slice::from_ref(&tally_a),
-            &decode_a,
-            Some((&a.watermark, &det_a)),
-            Some(&trace(&ev_a, &ev_b)),
-        );
-        let bundle_b = encode_bundle(
-            &b.spec,
-            &identity,
-            std::slice::from_ref(&tally_b),
-            &decode_b,
-            Some((&b.watermark, &det_b)),
-            Some(&trace(&ev_b, &ev_a)),
-        );
-        Ok((
-            outcome,
-            Certified { outcome: ev_a, bundle: bundle_a },
-            Certified { outcome: ev_b, bundle: bundle_b },
-        ))
+        let cert_a = certify(a, ev_a.clone(), &ev_b, &tallies_a);
+        let cert_b = certify(b, ev_b, &ev_a, &tallies_b);
+        Ok((outcome, cert_a, cert_b))
     }
+}
+
+fn whole_identity(rel: &Relation) -> RelationIdentity {
+    RelationIdentity::Whole { rows: rel.len() as u64, hash: whole_relation_hash(rel) }
 }
 
 fn manifest_identity(manifest: &VersionManifest) -> RelationIdentity {
@@ -1321,28 +1143,33 @@ mod tests {
             .store(Box::new(store.clone()))
             .from_relation(&rel)
             .unwrap();
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         let v = log.commit(&mut seg, &store).unwrap();
         let manifest = log.get(v).unwrap().clone();
 
-        let fast = session.detect_segmented(&mut seg, &wm).unwrap();
-        let segmented = session.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
-        assert_eq!(segmented.outcome, fast);
-
+        let fast = session.decode_segmented(&mut seg).unwrap();
         let mut cache = VoteCache::new();
         let cold =
             session.detect_certified_incremental(&mut seg, &wm, &manifest, &mut cache).unwrap();
         let warm =
             session.detect_certified_incremental(&mut seg, &wm, &manifest, &mut cache).unwrap();
-        assert_eq!(segmented.bundle, cold.bundle, "segmented vs cold incremental");
+        assert_eq!(cold.outcome.decode, fast);
+        assert_eq!(cold.outcome.detection, detect(&fast.watermark, &wm));
         assert_eq!(cold.bundle, warm.bundle, "cold vs warm incremental");
 
-        let mono = log.open_version(v, rel.schema(), &store, None).unwrap().to_relation().unwrap();
-        let version = session.detect_certified_version(&mono, &wm, &manifest).unwrap();
-        assert_eq!(version.bundle, segmented.bundle, "monolithic vs segmented");
-        assert_eq!(version.outcome, fast);
+        // A cold reopen of the same version from the pile, under a
+        // tight pager budget, commits to the same bytes.
+        let mut reopened =
+            log.open_version(v, rel.schema(), &store, Some(rel.resident_bytes() / 8)).unwrap();
+        let again = session
+            .detect_certified_incremental(&mut reopened, &wm, &manifest, &mut VoteCache::new())
+            .unwrap();
+        assert_eq!(again.bundle, cold.bundle, "reopened vs live segments");
 
-        let summary = verify_evidence(&segmented.bundle).unwrap();
+        let mono = reopened.to_relation().unwrap();
+        assert_eq!(cold.outcome, session.detect(&mono, &wm).unwrap());
+
+        let summary = verify_evidence(&cold.bundle).unwrap();
         assert_eq!(summary.segments, seg.segment_count());
         assert!(summary.relation.starts_with(&format!("version {v}")));
     }

@@ -24,6 +24,7 @@ use crate::detect::{detect, Detection};
 use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
 use crate::embed::{EmbedReport, Embedder};
 use crate::error::CoreError;
+use crate::fold::{Fold, Pipeline, Source};
 use crate::plan::{MultiPlanCache, PlanCache};
 use crate::spec::{Watermark, WatermarkSpec};
 
@@ -312,19 +313,8 @@ impl FingerprintRegistry {
         let specs: Vec<WatermarkSpec> = entries.iter().map(|e| e.0.clone()).collect();
         let wm_data: Vec<Vec<bool>> =
             entries.iter().map(|e| MajorityVotingEcc.encode(&e.1, e.0.wm_data_len)).collect();
-        let mut reports: Vec<EmbedReport> = entries
-            .iter()
-            .map(|e| EmbedReport {
-                total_tuples: seg.len(),
-                fit_tuples: 0,
-                altered: 0,
-                unchanged: 0,
-                vetoed: 0,
-                positions_covered: 0,
-                positions_total: e.0.wm_data_len,
-                touched_rows: Vec::new(),
-            })
-            .collect();
+        let mut reports: Vec<EmbedReport> =
+            entries.iter().map(|e| EmbedReport::new(seg.len(), e.0.wm_data_len)).collect();
         let mut covered: Vec<Vec<bool>> =
             entries.iter().map(|e| vec![false; e.0.wm_data_len]).collect();
         let mut deltas: Vec<Vec<MarkDelta>> = vec![Vec::new(); buyers.len()];
@@ -434,13 +424,8 @@ impl FingerprintRegistry {
         for buyer in &self.buyers {
             let entry = self.derived_entry(buyer);
             let (spec, wm) = (&entry.0, &entry.1);
-            let plan = self.plans.plan_for(spec, suspect, key_idx)?;
-            let decode = Decoder::engine(spec).decode_with_plan(
-                suspect,
-                attr_idx,
-                &MajorityVotingEcc,
-                &plan,
-            )?;
+            let fold = Fold { spec, key_idx, attr_idx, plans: &self.plans };
+            let decode = fold.votes(Source::Whole(suspect), false, Pipeline::Off)?.report;
             results.push(TraceResult {
                 buyer: buyer.clone(),
                 detection: detect(&decode.watermark, wm),

@@ -41,17 +41,15 @@
 //! row count), the diff is undefined and the drivers fall back to the
 //! full segmented pass.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use catmark_relation::{BlobHash, CacheStats, SegmentedRelation, VersionManifest};
 
-use crate::decode::{DecodeReport, Decoder, VoteAccumulator};
-use crate::detect::detect;
-use crate::ecc::MajorityVotingEcc;
-use crate::embed::{EmbedReport, Embedder};
+use crate::decode::{DecodeReport, VoteAccumulator};
+use crate::embed::EmbedReport;
 use crate::error::CoreError;
-use crate::plan::spec_identity;
-use crate::session::{MarkSession, Verdict};
+use crate::fold::{Folded, Pipeline, PipelineStats, Source};
+use crate::session::MarkSession;
 use crate::spec::Watermark;
 
 /// Outcome of [`MarkSession::embed_incremental`].
@@ -132,15 +130,32 @@ impl VoteCache {
         self.entries.clear();
     }
 
-    /// Counted lookup.
-    pub(crate) fn lookup(&mut self, spec_id: u64, hash: &BlobHash) -> Option<&VoteAccumulator> {
-        let found = self.entries.get(&(spec_id, *hash));
-        if found.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
+    /// Count one lookup per segment of `manifest`, in segment order,
+    /// and return the segments whose tally must be computed: those
+    /// whose blob is not cached. A blob repeated later in the manifest
+    /// is tallied once; its repeats count as hits on the tally the
+    /// first occurrence inserts.
+    pub(crate) fn untallied(&mut self, spec_id: u64, manifest: &VersionManifest) -> Vec<usize> {
+        let mut pending = HashSet::new();
+        let mut fresh = Vec::new();
+        for (i, segment) in manifest.segments.iter().enumerate() {
+            if self.entries.contains_key(&(spec_id, segment.hash))
+                || pending.contains(&segment.hash)
+            {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+                pending.insert(segment.hash);
+                fresh.push(i);
+            }
         }
-        found
+        fresh
+    }
+
+    /// The cached tally for a blob [`VoteCache::untallied`] did not
+    /// return (or one tallied since).
+    pub(crate) fn get(&self, spec_id: u64, hash: &BlobHash) -> &VoteAccumulator {
+        self.entries.get(&(spec_id, *hash)).expect("untallied returned every uncached blob")
     }
 
     pub(crate) fn insert(&mut self, spec_id: u64, hash: BlobHash, votes: VoteAccumulator) {
@@ -151,8 +166,7 @@ impl VoteCache {
     /// `manifest` (other specs' entries are untouched). Dropped
     /// entries count as evictions.
     pub(crate) fn retain_manifest(&mut self, spec_id: u64, manifest: &VersionManifest) {
-        let live: std::collections::HashSet<&BlobHash> =
-            manifest.segments.iter().map(|s| &s.hash).collect();
+        let live: HashSet<&BlobHash> = manifest.segments.iter().map(|s| &s.hash).collect();
         let before = self.entries.len();
         self.entries.retain(|(sid, hash), _| *sid != spec_id || live.contains(hash));
         self.stats.evictions += (before - self.entries.len()) as u64;
@@ -207,69 +221,35 @@ impl MarkSession {
         marked: &VersionManifest,
         current: &VersionManifest,
     ) -> Result<IncrementalEmbedReport, CoreError> {
+        Ok(self.embed_incremental_with(seg, wm, marked, current, Pipeline::Auto)?.0)
+    }
+
+    /// [`MarkSession::embed_incremental`] under an explicit pipeline
+    /// mode, plus the pass's resource counters.
+    pub(crate) fn embed_incremental_with(
+        &self,
+        seg: &mut SegmentedRelation,
+        wm: &Watermark,
+        marked: &VersionManifest,
+        current: &VersionManifest,
+        pipeline: Pipeline,
+    ) -> Result<(IncrementalEmbedReport, PipelineStats), CoreError> {
         let wm_data = self.checked_wm_data(seg, wm)?;
         Self::check_manifest(seg, current)?;
-        let Some(dirty) = current.dirty_against(marked) else {
-            // Geometry changed: the per-segment diff is undefined, so
-            // run the plain driver (which itself dispatches
-            // sequential/pipelined per policy).
-            let report = self.embed_segmented(seg, wm)?;
-            return Ok(IncrementalEmbedReport {
-                report,
-                dirty_segments: seg.segment_count(),
-                clean_segments: 0,
-                full_fallback: true,
-            });
+        // When the geometry changed the per-segment diff is undefined,
+        // so every segment is re-embedded.
+        let (dirty, full_fallback) = match current.dirty_against(marked) {
+            Some(dirty) => (dirty, false),
+            None => ((0..seg.segment_count()).collect(), true),
         };
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let engine = Embedder::engine(spec);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let mut report = EmbedReport {
-            total_tuples: dirty.iter().map(|&i| seg.segment_len(i)).sum(),
-            fit_tuples: 0,
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; spec.wm_data_len];
-        // Walk all segments to keep the global row base exact, but
-        // only dirty ones are paged in and re-embedded.
-        let mut next_dirty = dirty.iter().copied().peekable();
-        let mut base = 0usize;
-        for i in 0..seg.segment_count() {
-            let rows = seg.segment_len(i);
-            if next_dirty.peek() == Some(&i) {
-                next_dirty.next();
-                seg.with_segment_mut(i, |rel| -> Result<(), CoreError> {
-                    let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                    report.fit_tuples += plan.fit().len();
-                    engine.embed_pass(
-                        rel,
-                        attr_idx,
-                        &wm_data,
-                        None,
-                        &plan,
-                        base,
-                        &mut covered,
-                        &mut report,
-                    )
-                })
-                .map_err(CoreError::Relation)??;
-            }
-            base += rows;
-        }
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok(IncrementalEmbedReport {
+        let (report, stats) = self.fold().embed(seg, &dirty, &wm_data, None, pipeline)?;
+        let inc = IncrementalEmbedReport {
             report,
             dirty_segments: dirty.len(),
             clean_segments: seg.segment_count() - dirty.len(),
-            full_fallback: false,
-        })
+            full_fallback,
+        };
+        Ok((inc, stats))
     }
 
     /// [`MarkSession::decode_segmented`] that folds cached
@@ -291,62 +271,27 @@ impl MarkSession {
         manifest: &VersionManifest,
         cache: &mut VoteCache,
     ) -> Result<IncrementalDecodeReport, CoreError> {
-        self.check_segmented(seg)?;
-        Self::check_manifest(seg, manifest)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let spec_id = spec_identity(spec);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        let mut accumulated = 0usize;
-        let mut cached = 0usize;
-        for i in 0..seg.segment_count() {
-            let hash = manifest.segments[i].hash;
-            if let Some(tally) = cache.lookup(spec_id, &hash) {
-                votes.merge(tally);
-                cached += 1;
-                continue;
-            }
-            let mut tally = VoteAccumulator::new(spec.wm_data_len);
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                tally.accumulate(spec, rel, attr_idx, &plan);
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
-            votes.merge(&tally);
-            cache.insert(spec_id, hash, tally);
-            accumulated += 1;
-        }
-        cache.retain_manifest(spec_id, manifest);
-        let report = Decoder::engine(spec).resolve(&MajorityVotingEcc, votes)?;
+        let folded = self.fold_version(seg, manifest, cache, false, Pipeline::Auto)?;
         Ok(IncrementalDecodeReport {
-            report,
-            accumulated_segments: accumulated,
-            cached_segments: cached,
+            report: folded.report,
+            accumulated_segments: folded.accumulated,
+            cached_segments: folded.cached,
         })
     }
 
-    /// [`MarkSession::detect_segmented`] through the incremental
-    /// decode: the blind decode (vote cache and all) weighed against
-    /// the claimed mark. This is the engine under a service's
-    /// `detect_at`: open a historical version, decode it, judge the
-    /// claim.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_incremental`].
-    pub fn detect_incremental(
+    /// The vote fold over a committed version through `cache`,
+    /// keeping every segment's tally when `keep` (the certified path).
+    pub(crate) fn fold_version(
         &self,
         seg: &mut SegmentedRelation,
-        claimed: &Watermark,
         manifest: &VersionManifest,
         cache: &mut VoteCache,
-    ) -> Result<Verdict, CoreError> {
-        let inc = self.decode_incremental(seg, manifest, cache)?;
-        let detection = detect(&inc.report.watermark, claimed);
-        Ok(Verdict { decode: inc.report, detection })
+        keep: bool,
+        pipeline: Pipeline,
+    ) -> Result<Folded, CoreError> {
+        self.check_segmented(seg)?;
+        Self::check_manifest(seg, manifest)?;
+        self.fold().votes(Source::Cached { seg, manifest, cache }, keep, pipeline)
     }
 }
 
@@ -410,7 +355,7 @@ mod tests {
         let store = ContentStore::in_memory();
         let mut log = VersionLog::new();
         let mut seg = versioned(&rel, &store);
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         let marked_id = log.commit(&mut seg, &store).unwrap();
 
         churn(&mut seg, &session, 400, 0xC0FFEE);
@@ -420,7 +365,7 @@ mod tests {
 
         // A twin of the updated, pre-re-mark state for the full pass.
         let mut twin = log.open_version(current_id, rel.schema(), &store, None).unwrap();
-        session.embed_segmented_sequential(&mut twin, &wm).unwrap();
+        session.embed_segmented(&mut twin, &wm).unwrap();
 
         let inc = session.embed_incremental(&mut seg, &wm, &marked, &current).unwrap();
         assert!(!inc.full_fallback);
@@ -448,11 +393,11 @@ mod tests {
         let store = ContentStore::in_memory();
         let mut log = VersionLog::new();
         let mut seg = versioned(&rel, &store);
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         let marked_id = log.commit(&mut seg, &store).unwrap();
         let marked = log.get(marked_id).unwrap().clone();
 
-        let full = session.decode_segmented_sequential(&mut seg).unwrap();
+        let full = session.decode_segmented(&mut seg).unwrap();
         let mut cache = VoteCache::new();
         let first = session.decode_incremental(&mut seg, &marked, &mut cache).unwrap();
         assert_eq!(first.report, full, "cold incremental decode diverges");
@@ -475,12 +420,13 @@ mod tests {
         let remarked_id = log.commit(&mut seg, &store).unwrap();
         let remarked = log.get(remarked_id).unwrap().clone();
         let third = session.decode_incremental(&mut seg, &remarked, &mut cache).unwrap();
-        assert_eq!(third.report, session.decode_segmented_sequential(&mut seg).unwrap());
+        assert_eq!(third.report, session.decode_segmented(&mut seg).unwrap());
         assert!(third.cached_segments >= seg.segment_count() - inc.dirty_segments);
         assert!(cache.len() <= seg.segment_count(), "cache retained dead blobs");
 
-        let verdict = session.detect_incremental(&mut seg, &wm, &remarked, &mut cache).unwrap();
-        assert!(verdict.is_significant(1e-3));
+        let decoded = session.decode_incremental(&mut seg, &remarked, &mut cache).unwrap();
+        assert_eq!(decoded.cached_segments, seg.segment_count());
+        assert!(crate::detect(&decoded.report.watermark, &wm).is_significant(1e-3));
     }
 
     #[test]
@@ -489,7 +435,7 @@ mod tests {
         let store = ContentStore::in_memory();
         let mut log = VersionLog::new();
         let mut seg = versioned(&rel, &store);
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented(&mut seg, &wm).unwrap();
         log.commit(&mut seg, &store).unwrap();
 
         // A manifest of the same data under different segmentation.

@@ -109,6 +109,7 @@ pub mod error;
 pub mod evidence;
 pub mod fingerprint;
 pub mod fitness;
+mod fold;
 pub mod freq;
 pub mod incremental;
 pub mod keyfile;
@@ -131,8 +132,8 @@ pub use embed::{EmbedReport, Embedder};
 pub use error::CoreError;
 pub use evidence::{verify_evidence, Certified, ClaimSummary, ContestSummary, EvidenceSummary};
 pub use fitness::{FitFacts, FitnessSelector};
+pub use fold::{Pipeline, PipelineStats};
 pub use incremental::{IncrementalDecodeReport, IncrementalEmbedReport, VoteCache};
-pub use outofcore::PipelineStats;
 pub use plan::{MarkPlan, MultiKeyPlan, MultiPlanCache, PlanCache, PlannedRow};
 pub use session::{
     ColumnRef, FingerprintSession, MarkSession, MarkSessionBuilder, MultiAttrSession, Outcome,

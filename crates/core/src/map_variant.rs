@@ -77,13 +77,7 @@ pub fn embed_with_map(
     target_attr: &str,
     wm: &Watermark,
 ) -> Result<EmbeddingMap, CoreError> {
-    if wm.len() != spec.wm_len {
-        return Err(CoreError::InvalidSpec(format!(
-            "watermark has {} bits but the spec declares {}",
-            wm.len(),
-            spec.wm_len
-        )));
-    }
+    spec.check_mark(wm)?;
     let key_idx = rel.schema().index_of(key_attr)?;
     let attr_idx = rel.schema().index_of(target_attr)?;
     let n = spec.domain.len() as u64;

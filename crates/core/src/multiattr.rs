@@ -24,10 +24,11 @@ use std::collections::{HashMap, HashSet};
 
 use catmark_relation::{CategoricalDomain, Relation};
 
-use crate::decode::{DecodeReport, Decoder};
+use crate::decode::DecodeReport;
 use crate::detect::{detect, Detection};
 use crate::embed::{EmbedReport, Embedder};
 use crate::error::CoreError;
+use crate::fold::{Fold, Pipeline, Source};
 use crate::quality::{ImmutableRows, QualityGuard};
 use crate::spec::{Watermark, WatermarkSpec};
 
@@ -310,13 +311,8 @@ pub fn decode_multiattr_with_cache(
         else {
             continue; // partitioned away
         };
-        let mark_plan = cache.plan_for(&pair.spec, rel, key_idx)?;
-        let decode = Decoder::engine(&pair.spec).decode_with_plan(
-            rel,
-            attr_idx,
-            &crate::ecc::MajorityVotingEcc,
-            &mark_plan,
-        )?;
+        let fold = Fold { spec: &pair.spec, key_idx, attr_idx, plans: cache };
+        let decode = fold.votes(Source::Whole(rel), false, Pipeline::Off)?.report;
         let detection = detect(&decode.watermark, claimed);
         witnesses.push(PairWitness { label: pair.label(), decode, detection });
     }

@@ -15,45 +15,26 @@
 //! that tuple's primary key under the spec's keys: fitness, `wm_data`
 //! position, value base (see [`crate::plan`]). Embedding therefore
 //! commutes with any partition of the rows — a segment's
-//! [`MarkPlan`] is exactly the corresponding slice of the monolithic
+//! [`crate::plan::MarkPlan`] is exactly the corresponding slice of the monolithic
 //! plan — and decoding is a sum of commutative per-position vote
 //! increments resolved once at the end. The golden byte-identity
 //! suite and the segment-boundary proptests pin both facts.
 //!
-//! # The two-stage pipeline
+//! # Scheduling
 //!
-//! Sequentially, each segment pays `plan` (keyed hashing, CPU-bound)
-//! then `embed`/`accumulate` plus paging (store I/O) back to back.
-//! Planning only reads the key column, which no pass ever rewrites,
-//! so segment `i + 1`'s plan is computable the moment its bytes are
-//! readable — it does not depend on segment `i`'s outcome. The
-//! pipelined drivers exploit exactly that: a single prefetch worker
-//! hashes and plans segment `i + 1` from an **off-pager clone** while
-//! the main thread embeds or vote-counts segment `i`. All mutation,
-//! guard state, reporting, and vote accumulation stay on the main
-//! thread in segment order, so every byte and report matches the
-//! sequential driver exactly.
-//!
-//! Memory stays bounded: the pager's budget is still enforced as a
-//! hard ceiling on resident segments (`peak_pageable_bytes() <=
-//! max(budget, peak_segment_bytes())`, unchanged), and the pipeline
-//! adds **at most one in-flight segment clone** on top — the clone
-//! channel is a rendezvous, so a new clone is only handed over once
-//! the worker has dropped the previous one. Total footprint is
-//! therefore `pager budget + one segment clone`, and
-//! [`PipelineStats::peak_inflight_bytes`] reports the clone's
-//! high-water mark so callers can assert it.
-//!
-//! The `CATMARK_PIPELINE` environment variable overrides dispatch for
-//! the plain `embed_segmented`/`decode_segmented` entry points:
-//! `seq`/`off` forces the sequential reference drivers, `on` forces
-//! the pipeline, and `auto` (the default) pipelines only when the
-//! host has more than one CPU and there is more than one segment.
-//! Both paths are byte-identical; the override is purely about
-//! resource shape.
+//! The plain entry points pick [`Pipeline::Auto`]: a prefetch worker
+//! plans the next segment while this one is embedded or vote-counted
+//! whenever more than one segment must be planned and the host has
+//! more than one CPU. [`MarkSession::embed_segmented_with`] and
+//! [`MarkSession::decode_segmented_with`] take the mode explicitly and
+//! report the pipeline's [`PipelineStats`]; [`Pipeline::Off`] is the
+//! reference the pipelined runs are pinned against. The pager's budget
+//! stays a hard ceiling either way (`peak_pageable_bytes() <=
+//! max(budget, peak_segment_bytes())`), and the pipeline adds at most
+//! one in-flight segment clone on top.
 //!
 //! ```
-//! use catmark_core::{MarkSession, Watermark, WatermarkSpec};
+//! use catmark_core::{detect, MarkSession, Watermark, WatermarkSpec};
 //! use catmark_datagen::{ItemScanConfig, SalesGenerator};
 //! use catmark_relation::SegmentedRelation;
 //!
@@ -83,75 +64,22 @@
 //! let wm = Watermark::from_u64(0b10_0111_0101, 10);
 //! let report = session.embed_segmented(&mut seg, &wm).unwrap();
 //! assert!(report.fit_count() > 0);
-//! let verdict = session.detect_segmented(&mut seg, &wm).unwrap();
-//! assert!(verdict.is_significant(1e-2));
+//! let decoded = session.decode_segmented(&mut seg).unwrap();
+//! assert!(detect(&decoded.watermark, &wm).is_significant(1e-2));
 //! assert!(seg.peak_pageable_bytes() <= rel.resident_bytes() / 4);
 //! # use catmark_core::session::Outcome;
 //! ```
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use catmark_relation::SegmentedRelation;
 
-use catmark_relation::{Relation, SegmentedRelation};
-
-use crate::decode::{DecodeReport, Decoder, VoteAccumulator};
-use crate::detect::detect;
+use crate::decode::DecodeReport;
 use crate::ecc::{ErrorCorrectingCode, MajorityVotingEcc};
-use crate::embed::{EmbedReport, Embedder};
+use crate::embed::EmbedReport;
 use crate::error::CoreError;
-use crate::plan::{MarkPlan, PlanCache};
+use crate::fold::{Pipeline, PipelineStats, Source};
 use crate::quality::QualityGuard;
-use crate::session::{MarkSession, Verdict};
+use crate::session::MarkSession;
 use crate::spec::Watermark;
-
-/// Resource counters from one pipelined out-of-core pass.
-///
-/// The pipeline's memory contract is `pager budget + one in-flight
-/// segment clone`; [`PipelineStats::peak_inflight_bytes`] is the
-/// observed size of that one clone (its high-water mark across the
-/// pass), never a sum over several — the rendezvous hand-off keeps at
-/// most one clone alive at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PipelineStats {
-    /// Segments the pass covered.
-    pub segments: usize,
-    /// Segments whose plan was built ahead by the prefetch worker
-    /// (every segment but the first, unless the worker died).
-    pub prefetched: usize,
-    /// Largest off-pager segment clone handed to the worker, in
-    /// bytes. Zero when nothing was prefetched.
-    pub peak_inflight_bytes: usize,
-}
-
-/// How the plain segmented entry points choose between the
-/// sequential reference drivers and the pipelined ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipelineMode {
-    /// Pipeline when the host has >1 CPU and there are >1 segments.
-    Auto,
-    /// Always the sequential reference driver.
-    Sequential,
-    /// Always the two-stage pipeline.
-    Pipelined,
-}
-
-/// Read `CATMARK_PIPELINE`. Unknown values fall back to auto with a
-/// note on stderr rather than failing a long embed run over an
-/// environment typo.
-fn pipeline_mode() -> PipelineMode {
-    match std::env::var("CATMARK_PIPELINE") {
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "seq" | "sequential" | "off" | "0" => PipelineMode::Sequential,
-            "on" | "pipeline" | "pipelined" | "1" => PipelineMode::Pipelined,
-            "" | "auto" => PipelineMode::Auto,
-            other => {
-                eprintln!("catmark: unknown CATMARK_PIPELINE value {other:?}; using auto");
-                PipelineMode::Auto
-            }
-        },
-        Err(_) => PipelineMode::Auto,
-    }
-}
 
 impl MarkSession {
     /// Verify the bound columns still line up with the segmented
@@ -162,7 +90,7 @@ impl MarkSession {
     }
 
     /// Shared embed preamble: binding and length validation, then the
-    /// ECC-expanded `wm_data` both embed drivers consume.
+    /// ECC-expanded `wm_data` every segmented embed consumes.
     pub(crate) fn checked_wm_data(
         &self,
         seg: &SegmentedRelation,
@@ -170,144 +98,14 @@ impl MarkSession {
     ) -> Result<Vec<bool>, CoreError> {
         self.check_segmented(seg)?;
         let spec = self.spec();
-        if wm.len() != spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                spec.wm_len
-            )));
-        }
+        spec.check_mark(wm)?;
         Ok(MajorityVotingEcc.encode(wm, spec.wm_data_len))
-    }
-
-    /// Whether per-segment plans should go through the session's
-    /// [`PlanCache`]: embedding never touches the key column, so an
-    /// embed → decode round trip can reuse every segment's plan —
-    /// halving the keyed-hash work — as long as the cache can
-    /// actually hold them. Past half the cache capacity the reset
-    /// policy would churn instead of hit, so large segment counts
-    /// build plans directly.
-    pub(crate) fn segment_plans_cacheable(seg: &SegmentedRelation) -> bool {
-        seg.segment_count() <= PlanCache::CAPACITY / 2
-    }
-
-    /// The plan for one resident segment, cached when sensible.
-    pub(crate) fn segment_plan(
-        &self,
-        rel: &Relation,
-        key_idx: usize,
-        cacheable: bool,
-    ) -> Result<Arc<MarkPlan>, CoreError> {
-        if cacheable {
-            self.cache().plan_for(self.spec(), rel, key_idx)
-        } else {
-            Ok(Arc::new(MarkPlan::build(self.spec(), rel, key_idx)))
-        }
-    }
-
-    /// Whether the plain entry points should pipeline this relation.
-    fn pipeline_enabled(seg: &SegmentedRelation) -> bool {
-        match pipeline_mode() {
-            PipelineMode::Sequential => false,
-            PipelineMode::Pipelined => true,
-            PipelineMode::Auto => {
-                seg.segment_count() > 1
-                    && std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1
-            }
-        }
-    }
-
-    /// The two-stage pipeline skeleton both pipelined drivers share:
-    /// a prefetch worker plans segment `i + 1` from an off-pager
-    /// clone while the main thread runs `step` (embed or vote
-    /// accumulation) over segment `i` with segment `i`'s plan and
-    /// first global row index.
-    ///
-    /// Correctness leans on two invariants. First, a plan reads only
-    /// the key column, which no pass rewrites, so the clone taken
-    /// *before* segment `i` is mutated still plans segment `i + 1`
-    /// exactly. Second, plan-cache keys are content fingerprints, so
-    /// the worker populates the same entries the sequential driver
-    /// would. The clone channel is a rendezvous (capacity 0): the
-    /// hand-off of clone `i + 1` only completes after the worker has
-    /// finished (and dropped) clone `i`, bounding off-pager memory to
-    /// one segment.
-    fn run_pipelined(
-        &self,
-        seg: &mut SegmentedRelation,
-        mut step: impl FnMut(&mut SegmentedRelation, usize, usize, &MarkPlan) -> Result<(), CoreError>,
-    ) -> Result<PipelineStats, CoreError> {
-        let key_idx = self.key().index();
-        let cacheable = Self::segment_plans_cacheable(seg);
-        let n = seg.segment_count();
-        let mut stats = PipelineStats { segments: n, ..PipelineStats::default() };
-        if n <= 1 {
-            // Nothing to overlap; skip the worker entirely.
-            for i in 0..n {
-                let plan = seg
-                    .with_segment(i, |rel| self.segment_plan(rel, key_idx, cacheable))
-                    .map_err(CoreError::Relation)??;
-                step(seg, i, 0, &plan)?;
-            }
-            return Ok(stats);
-        }
-        std::thread::scope(|scope| -> Result<(), CoreError> {
-            let (clone_tx, clone_rx) = mpsc::sync_channel::<Relation>(0);
-            let (plan_tx, plan_rx) = mpsc::sync_channel::<Result<Arc<MarkPlan>, CoreError>>(1);
-            scope.spawn(move || {
-                while let Ok(rel) = clone_rx.recv() {
-                    let plan = self.segment_plan(&rel, key_idx, cacheable);
-                    // Release the clone before signalling readiness for
-                    // the next one — this is what keeps the in-flight
-                    // bound at a single segment.
-                    drop(rel);
-                    if plan_tx.send(plan).is_err() {
-                        break; // the driver hung up (error path)
-                    }
-                }
-            });
-            let mut base = 0usize;
-            for i in 0..n {
-                if i + 1 < n {
-                    let clone =
-                        seg.with_segment(i + 1, Relation::clone).map_err(CoreError::Relation)?;
-                    stats.peak_inflight_bytes =
-                        stats.peak_inflight_bytes.max(clone.resident_bytes());
-                    if clone_tx.send(clone).is_ok() {
-                        stats.prefetched += 1;
-                    }
-                }
-                let rows = seg.segment_len(i);
-                let plan = if i == 0 {
-                    // No plan is in flight yet; the first segment is
-                    // planned inline while the worker starts on the
-                    // second.
-                    seg.with_segment(0, |rel| self.segment_plan(rel, key_idx, cacheable))
-                        .map_err(CoreError::Relation)??
-                } else {
-                    // The worker only stops after this side hangs up,
-                    // so a closed channel here means it panicked;
-                    // propagate (the scope re-raises its panic too).
-                    plan_rx.recv().expect("plan prefetch worker disconnected")?
-                };
-                step(seg, i, base, &plan)?;
-                base += rows;
-            }
-            drop(clone_tx); // stop the worker; the scope joins it
-            Ok(())
-        })?;
-        Ok(stats)
     }
 
     /// [`MarkSession::embed`] over a [`SegmentedRelation`]: segments
     /// are paged in one at a time, planned, and rewritten in place
     /// under the relation's resident-byte budget. Byte-identical to
     /// embedding the materialized relation in memory.
-    ///
-    /// Dispatches between [`MarkSession::embed_segmented_sequential`]
-    /// and [`MarkSession::embed_segmented_pipelined`] per the
-    /// `CATMARK_PIPELINE` policy (see the module docs); both produce
-    /// identical bytes and reports.
     ///
     /// # Errors
     ///
@@ -318,19 +116,13 @@ impl MarkSession {
         seg: &mut SegmentedRelation,
         wm: &Watermark,
     ) -> Result<EmbedReport, CoreError> {
-        if Self::pipeline_enabled(seg) {
-            self.embed_pipelined_inner(seg, wm, None).map(|(report, _)| report)
-        } else {
-            self.embed_sequential_inner(seg, wm, None)
-        }
+        Ok(self.embed_segmented_with(seg, wm, None, Pipeline::Auto)?.0)
     }
 
     /// [`MarkSession::embed_guarded`] over a [`SegmentedRelation`]:
     /// the guard's state persists across segments and proposals
     /// arrive in ascending global row order, so admit/veto decisions
-    /// match a monolithic guarded pass. Dispatches like
-    /// [`MarkSession::embed_segmented`]; the guard always runs on the
-    /// driving thread in segment order, pipelined or not.
+    /// match a monolithic guarded pass.
     ///
     /// # Errors
     ///
@@ -341,269 +133,55 @@ impl MarkSession {
         wm: &Watermark,
         guard: &mut QualityGuard,
     ) -> Result<EmbedReport, CoreError> {
-        if Self::pipeline_enabled(seg) {
-            self.embed_pipelined_inner(seg, wm, Some(guard)).map(|(report, _)| report)
-        } else {
-            self.embed_sequential_inner(seg, wm, Some(guard))
-        }
+        Ok(self.embed_segmented_with(seg, wm, Some(guard), Pipeline::Auto)?.0)
     }
 
-    /// The sequential reference embed driver: plan and embed each
-    /// segment back to back on one thread. Kept public (alongside the
-    /// pipelined form) as the golden reference the pipeline is pinned
-    /// against.
+    /// [`MarkSession::embed_segmented`], optionally guarded, under an
+    /// explicit [`Pipeline`] mode, plus the pass's resource counters.
+    /// The guard always runs on the calling thread in segment order,
+    /// so every mode makes the same decisions and writes the same
+    /// bytes.
     ///
     /// # Errors
     ///
     /// As [`MarkSession::embed_segmented`].
-    pub fn embed_segmented_sequential(
+    pub fn embed_segmented_with(
         &self,
         seg: &mut SegmentedRelation,
         wm: &Watermark,
-    ) -> Result<EmbedReport, CoreError> {
-        self.embed_sequential_inner(seg, wm, None)
-    }
-
-    /// Sequential reference form of
-    /// [`MarkSession::embed_guarded_segmented`].
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_guarded_segmented_sequential(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        guard: &mut QualityGuard,
-    ) -> Result<EmbedReport, CoreError> {
-        self.embed_sequential_inner(seg, wm, Some(guard))
-    }
-
-    /// The pipelined embed driver: plans prefetched one segment
-    /// ahead, mutation sequential on this thread. Byte-identical to
-    /// the sequential form.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_segmented_pipelined(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-    ) -> Result<EmbedReport, CoreError> {
-        self.embed_pipelined_inner(seg, wm, None).map(|(report, _)| report)
-    }
-
-    /// [`MarkSession::embed_segmented_pipelined`] plus the pipeline's
-    /// resource counters, for callers asserting the memory contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_segmented_pipelined_with_stats(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-    ) -> Result<(EmbedReport, PipelineStats), CoreError> {
-        self.embed_pipelined_inner(seg, wm, None)
-    }
-
-    /// Guarded pipelined embed with resource counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::embed_segmented`].
-    pub fn embed_guarded_segmented_pipelined_with_stats(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        guard: &mut QualityGuard,
-    ) -> Result<(EmbedReport, PipelineStats), CoreError> {
-        self.embed_pipelined_inner(seg, wm, Some(guard))
-    }
-
-    fn embed_sequential_inner(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        mut guard: Option<&mut QualityGuard>,
-    ) -> Result<EmbedReport, CoreError> {
-        let wm_data = self.checked_wm_data(seg, wm)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let engine = Embedder::engine(spec);
-        let mut report = EmbedReport {
-            total_tuples: seg.len(),
-            fit_tuples: 0,
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; spec.wm_data_len];
-        let mut base = 0usize;
-        let cacheable = Self::segment_plans_cacheable(seg);
-        for i in 0..seg.segment_count() {
-            let rows = seg.segment_len(i);
-            let g = guard.as_deref_mut();
-            seg.with_segment_mut(i, |rel| -> Result<(), CoreError> {
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                report.fit_tuples += plan.fit().len();
-                engine.embed_pass(
-                    rel,
-                    attr_idx,
-                    &wm_data,
-                    g,
-                    &plan,
-                    base,
-                    &mut covered,
-                    &mut report,
-                )
-            })
-            .map_err(CoreError::Relation)??;
-            base += rows;
-        }
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok(report)
-    }
-
-    fn embed_pipelined_inner(
-        &self,
-        seg: &mut SegmentedRelation,
-        wm: &Watermark,
-        mut guard: Option<&mut QualityGuard>,
+        guard: Option<&mut QualityGuard>,
+        pipeline: Pipeline,
     ) -> Result<(EmbedReport, PipelineStats), CoreError> {
         let wm_data = self.checked_wm_data(seg, wm)?;
-        let spec = self.spec();
-        let attr_idx = self.target().index();
-        let engine = Embedder::engine(spec);
-        let mut report = EmbedReport {
-            total_tuples: seg.len(),
-            fit_tuples: 0,
-            altered: 0,
-            unchanged: 0,
-            vetoed: 0,
-            positions_covered: 0,
-            positions_total: spec.wm_data_len,
-            touched_rows: Vec::new(),
-        };
-        let mut covered = vec![false; spec.wm_data_len];
-        let stats = self.run_pipelined(seg, |seg, i, base, plan| {
-            report.fit_tuples += plan.fit().len();
-            let g = guard.as_deref_mut();
-            seg.with_segment_mut(i, |rel| {
-                engine.embed_pass(rel, attr_idx, &wm_data, g, plan, base, &mut covered, &mut report)
-            })
-            .map_err(CoreError::Relation)?
-        })?;
-        report.positions_covered = covered.iter().filter(|&&c| c).count();
-        Ok((report, stats))
+        let all: Vec<usize> = (0..seg.segment_count()).collect();
+        self.fold().embed(seg, &all, &wm_data, guard, pipeline)
     }
 
     /// [`MarkSession::decode`] over a [`SegmentedRelation`]: one
     /// vote-accumulation pass per segment, one resolution at the end.
     /// Byte-identical to decoding the materialized relation.
-    /// Dispatches like [`MarkSession::embed_segmented`].
     ///
     /// # Errors
     ///
     /// Binding drift, or [`CoreError::Relation`] when paging fails.
     pub fn decode_segmented(&self, seg: &mut SegmentedRelation) -> Result<DecodeReport, CoreError> {
-        if Self::pipeline_enabled(seg) {
-            self.decode_pipelined_inner(seg).map(|(report, _)| report)
-        } else {
-            self.decode_segmented_sequential(seg)
-        }
+        Ok(self.decode_segmented_with(seg, Pipeline::Auto)?.0)
     }
 
-    /// The sequential reference decode driver.
+    /// [`MarkSession::decode_segmented`] under an explicit
+    /// [`Pipeline`] mode, plus the pass's resource counters.
     ///
     /// # Errors
     ///
     /// As [`MarkSession::decode_segmented`].
-    pub fn decode_segmented_sequential(
+    pub fn decode_segmented_with(
         &self,
         seg: &mut SegmentedRelation,
-    ) -> Result<DecodeReport, CoreError> {
-        self.check_segmented(seg)?;
-        let spec = self.spec();
-        let key_idx = self.key().index();
-        let attr_idx = self.target().index();
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        let cacheable = Self::segment_plans_cacheable(seg);
-        for i in 0..seg.segment_count() {
-            seg.with_segment(i, |rel| -> Result<(), CoreError> {
-                // Embedding never rewrites the key column, so after an
-                // embed_segmented these lookups hit the cache: the
-                // round trip hashes each key once, as in-memory does.
-                let plan = self.segment_plan(rel, key_idx, cacheable)?;
-                votes.accumulate(spec, rel, attr_idx, &plan);
-                Ok(())
-            })
-            .map_err(CoreError::Relation)??;
-        }
-        Decoder::engine(spec).resolve(&MajorityVotingEcc, votes)
-    }
-
-    /// The pipelined decode driver: plans prefetched one segment
-    /// ahead, vote accumulation sequential on this thread.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_segmented`].
-    pub fn decode_segmented_pipelined(
-        &self,
-        seg: &mut SegmentedRelation,
-    ) -> Result<DecodeReport, CoreError> {
-        self.decode_pipelined_inner(seg).map(|(report, _)| report)
-    }
-
-    /// [`MarkSession::decode_segmented_pipelined`] plus the
-    /// pipeline's resource counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_segmented`].
-    pub fn decode_segmented_pipelined_with_stats(
-        &self,
-        seg: &mut SegmentedRelation,
-    ) -> Result<(DecodeReport, PipelineStats), CoreError> {
-        self.decode_pipelined_inner(seg)
-    }
-
-    fn decode_pipelined_inner(
-        &self,
-        seg: &mut SegmentedRelation,
+        pipeline: Pipeline,
     ) -> Result<(DecodeReport, PipelineStats), CoreError> {
         self.check_segmented(seg)?;
-        let spec = self.spec();
-        let attr_idx = self.target().index();
-        let mut votes = VoteAccumulator::new(spec.wm_data_len);
-        let stats = self.run_pipelined(seg, |seg, i, _base, plan| {
-            seg.with_segment(i, |rel| votes.accumulate(spec, rel, attr_idx, plan))
-                .map_err(CoreError::Relation)
-        })?;
-        let report = Decoder::engine(spec).resolve(&MajorityVotingEcc, votes)?;
-        Ok((report, stats))
-    }
-
-    /// [`MarkSession::detect`] over a [`SegmentedRelation`]: the
-    /// streaming blind decode weighed against the claimed mark.
-    ///
-    /// # Errors
-    ///
-    /// As [`MarkSession::decode_segmented`].
-    pub fn detect_segmented(
-        &self,
-        seg: &mut SegmentedRelation,
-        claimed: &Watermark,
-    ) -> Result<Verdict, CoreError> {
-        let decode = self.decode_segmented(seg)?;
-        let detection = detect(&decode.watermark, claimed);
-        Ok(Verdict { decode, detection })
+        let folded = self.fold().votes(Source::Segments(seg), false, pipeline)?;
+        Ok((folded.report, folded.stats))
     }
 }
 
@@ -650,17 +228,18 @@ mod tests {
 
         let budget = rel.resident_bytes() / 4;
         let mut seg = segmented(&rel, 250, budget);
-        let seg_report = session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        let seg_report =
+            session.embed_segmented_with(&mut seg, &wm, None, Pipeline::Off).unwrap().0;
         assert_eq!(seg_report, mono_report, "embed reports diverge");
-        let seg_decode = session.decode_segmented_sequential(&mut seg).unwrap();
+        let seg_decode = session.decode_segmented_with(&mut seg, Pipeline::Off).unwrap().0;
         assert_eq!(seg_decode, mono_decode, "decode reports diverge");
         assert!(seg.peak_pageable_bytes() <= budget, "budget was not honored");
 
         let back = seg.to_relation().unwrap();
         assert!(mono.iter().zip(back.iter()).all(|(a, b)| a == b), "marked bytes diverge");
 
-        let verdict = session.detect_segmented(&mut seg, &wm).unwrap();
-        assert!(verdict.is_significant(1e-3));
+        let decoded = session.decode_segmented(&mut seg).unwrap();
+        assert!(crate::detect(&decoded.watermark, &wm).is_significant(1e-3));
     }
 
     #[test]
@@ -669,16 +248,17 @@ mod tests {
         let budget = rel.resident_bytes() / 4;
 
         let mut seq = segmented(&rel, 250, budget);
-        let seq_report = session.embed_segmented_sequential(&mut seq, &wm).unwrap();
-        let seq_decode = session.decode_segmented_sequential(&mut seq).unwrap();
+        let seq_report =
+            session.embed_segmented_with(&mut seq, &wm, None, Pipeline::Off).unwrap().0;
+        let seq_decode = session.decode_segmented_with(&mut seq, Pipeline::Off).unwrap().0;
         let seq_bytes = seq.to_relation().unwrap();
 
         let mut piped = segmented(&rel, 250, budget);
         let (pipe_report, embed_stats) =
-            session.embed_segmented_pipelined_with_stats(&mut piped, &wm).unwrap();
+            session.embed_segmented_with(&mut piped, &wm, None, Pipeline::On).unwrap();
         assert_eq!(pipe_report, seq_report, "pipelined embed report diverges");
         let (pipe_decode, decode_stats) =
-            session.decode_segmented_pipelined_with_stats(&mut piped).unwrap();
+            session.decode_segmented_with(&mut piped, Pipeline::On).unwrap();
         assert_eq!(pipe_decode, seq_decode, "pipelined decode report diverges");
         let pipe_bytes = piped.to_relation().unwrap();
         assert!(
@@ -714,42 +294,26 @@ mod tests {
 
         let mut seg = segmented(&rel, 177, rel.resident_bytes() / 3);
         let mut seg_guard = QualityGuard::new(vec![Box::new(AlterationBudget::new(40))]);
-        let seg_report =
-            session.embed_guarded_segmented_sequential(&mut seg, &wm, &mut seg_guard).unwrap();
+        let (seg_report, _) = session
+            .embed_segmented_with(&mut seg, &wm, Some(&mut seg_guard), Pipeline::Off)
+            .unwrap();
         assert_eq!(seg_report, mono_report);
         assert_eq!(mono_guard.log().len(), seg_guard.log().len());
         let back = seg.to_relation().unwrap();
         assert!(mono.iter().zip(back.iter()).all(|(a, b)| a == b));
 
-        // Guard decisions are order-sensitive; the pipelined driver
+        // Guard decisions are order-sensitive; the pipelined walk
         // must reproduce them exactly (the guard runs on the driving
         // thread either way).
         let mut piped = segmented(&rel, 177, rel.resident_bytes() / 3);
         let mut pipe_guard = QualityGuard::new(vec![Box::new(AlterationBudget::new(40))]);
         let (pipe_report, _) = session
-            .embed_guarded_segmented_pipelined_with_stats(&mut piped, &wm, &mut pipe_guard)
+            .embed_segmented_with(&mut piped, &wm, Some(&mut pipe_guard), Pipeline::On)
             .unwrap();
         assert_eq!(pipe_report, mono_report);
         assert_eq!(pipe_guard.log().len(), mono_guard.log().len());
         let piped_back = piped.to_relation().unwrap();
         assert!(mono.iter().zip(piped_back.iter()).all(|(a, b)| a == b));
-    }
-
-    #[test]
-    fn pipeline_env_override_is_consulted() {
-        // Every mode is byte-identical, so this pins that each
-        // override value dispatches and completes with the same
-        // report — the env var changes resource shape, never results.
-        let (rel, session, wm) = fixture(600, 8);
-        let mut reference = segmented(&rel, 97, rel.resident_bytes() / 3);
-        let expect = session.embed_segmented_sequential(&mut reference, &wm).unwrap();
-        for mode in ["seq", "on", "auto", " On ", "not-a-mode"] {
-            std::env::set_var("CATMARK_PIPELINE", mode);
-            let mut seg = segmented(&rel, 97, rel.resident_bytes() / 3);
-            let report = session.embed_segmented(&mut seg, &wm).unwrap();
-            assert_eq!(report, expect, "CATMARK_PIPELINE={mode}");
-        }
-        std::env::remove_var("CATMARK_PIPELINE");
     }
 
     #[test]
@@ -767,11 +331,11 @@ mod tests {
         ));
         assert!(matches!(session.decode_segmented(&mut seg), Err(CoreError::ColumnBinding { .. })));
         assert!(matches!(
-            session.embed_segmented_pipelined(&mut seg, &wm),
+            session.embed_segmented_with(&mut seg, &wm, None, Pipeline::On),
             Err(CoreError::ColumnBinding { .. })
         ));
         assert!(matches!(
-            session.decode_segmented_pipelined(&mut seg),
+            session.decode_segmented_with(&mut seg, Pipeline::On),
             Err(CoreError::ColumnBinding { .. })
         ));
         let _ = rel;
@@ -787,7 +351,7 @@ mod tests {
             Err(CoreError::InvalidSpec(_))
         ));
         assert!(matches!(
-            session.embed_segmented_pipelined(&mut seg, &short),
+            session.embed_segmented_with(&mut seg, &short, None, Pipeline::On),
             Err(CoreError::InvalidSpec(_))
         ));
     }
@@ -815,7 +379,7 @@ mod tests {
             .unwrap();
         piped.seal_tail().unwrap();
         let (pipe_report, stats) =
-            session.embed_segmented_pipelined_with_stats(&mut piped, &wm).unwrap();
+            session.embed_segmented_with(&mut piped, &wm, None, Pipeline::On).unwrap();
         assert_eq!(pipe_report, mono_report);
         assert_eq!(stats.prefetched, piped.segment_count() - 1);
     }

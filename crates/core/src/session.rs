@@ -49,13 +49,14 @@ use std::sync::Arc;
 
 use catmark_relation::{CategoricalDomain, MarkDelta, Relation, Schema, SegmentedRelation};
 
-use crate::contest::{Claim, ClaimEvidence, ContestOutcome};
+use crate::contest::{gather, judge_claims, Claim, ClaimEvidence, ContestOutcome};
 use crate::decode::{DecodeReport, Decoder};
 use crate::detect::{detect, Detection};
 use crate::ecc::MajorityVotingEcc;
 use crate::embed::{EmbedReport, Embedder};
 use crate::error::CoreError;
 use crate::fingerprint::{FingerprintRegistry, TraceResult};
+use crate::fold::{Folded, Pipeline, Source};
 use crate::multiattr::{
     decode_multiattr_with_cache, embed_multiattr_with_cache, AggregateVerdict, MultiAttrPlan,
     PairEmbedOutcome, PairWitness,
@@ -259,7 +260,7 @@ impl MarkSession {
     }
 
     /// Verify the bound columns still line up with `rel`'s schema.
-    fn check(&self, rel: &Relation) -> Result<(), CoreError> {
+    pub(crate) fn check(&self, rel: &Relation) -> Result<(), CoreError> {
         self.key.still_bound(rel.schema())?;
         self.target.still_bound(rel.schema())
     }
@@ -352,15 +353,14 @@ impl MarkSession {
     ///
     /// Binding drift; decoding itself never fails on suspect data.
     pub fn decode(&self, rel: &Relation) -> Result<DecodeReport, CoreError> {
-        let plan = self.plan(rel)?;
-        // Trusted: the cache lookup above already fingerprinted the
-        // key column; no second staleness pass.
-        Decoder::engine(&self.spec).decode_with_plan_trusted(
-            rel,
-            self.target.index,
-            &MajorityVotingEcc,
-            &plan,
-        )
+        Ok(self.fold_whole(rel, false)?.report)
+    }
+
+    /// The vote fold over `rel` as one segment, keeping its tally when
+    /// `keep` (the certified path).
+    pub(crate) fn fold_whole(&self, rel: &Relation, keep: bool) -> Result<Folded, CoreError> {
+        self.check(rel)?;
+        self.fold().votes(Source::Whole(rel), keep, Pipeline::Off)
     }
 
     /// Decoding over a plan the caller pinned with
@@ -490,20 +490,17 @@ impl MarkSession {
     }
 
     /// Measure one claim's evidence against `rel` through the shared
-    /// cache (re-gathering the same claim's evidence replans nothing).
+    /// cache. Plans are keyed per claimant spec, so the cache does not
+    /// save work *across* claims; it pays when the *same* claim's
+    /// evidence is gathered again (a contest re-run after new filings,
+    /// or an audit of a verdict), which then replans nothing.
     ///
     /// # Errors
     ///
-    /// Binding drift or attribute-resolution failures.
+    /// Binding drift.
     pub fn evidence(&self, claim: &Claim, rel: &Relation) -> Result<ClaimEvidence, CoreError> {
         self.check(rel)?;
-        crate::contest::evidence_with_cache(
-            claim,
-            rel,
-            &self.key.name,
-            &self.target.name,
-            &self.cache,
-        )
+        Ok(gather(claim, rel, self.key.index, self.target.index, &self.cache, false)?.0)
     }
 
     /// Resolve a two-party ownership contest (Section 6's additive
@@ -511,7 +508,7 @@ impl MarkSession {
     ///
     /// # Errors
     ///
-    /// Binding drift or attribute-resolution failures.
+    /// Binding drift.
     pub fn contest(
         &self,
         a: &Claim,
@@ -520,17 +517,9 @@ impl MarkSession {
         alpha: f64,
         unanimity_margin: f64,
     ) -> Result<(ContestOutcome, ClaimEvidence, ClaimEvidence), CoreError> {
-        self.check(rel)?;
-        crate::contest::resolve_with_cache(
-            a,
-            b,
-            rel,
-            &self.key.name,
-            &self.target.name,
-            alpha,
-            unanimity_margin,
-            &self.cache,
-        )
+        let ev_a = self.evidence(a, rel)?;
+        let ev_b = self.evidence(b, rel)?;
+        Ok((judge_claims(&ev_a, &ev_b, alpha, unanimity_margin), ev_a, ev_b))
     }
 }
 
@@ -735,16 +724,6 @@ impl FingerprintSession {
     /// Attribute-resolution failures.
     pub fn trace(&self, suspect: &Relation) -> Result<Vec<TraceResult>, CoreError> {
         self.registry.trace(suspect, &self.key.name, &self.target.name)
-    }
-
-    /// The per-recipient reference for [`FingerprintSession::trace`] —
-    /// see [`FingerprintRegistry::trace_sequential`].
-    ///
-    /// # Errors
-    ///
-    /// Attribute-resolution failures.
-    pub fn trace_sequential(&self, suspect: &Relation) -> Result<Vec<TraceResult>, CoreError> {
-        self.registry.trace_sequential(suspect, &self.key.name, &self.target.name)
     }
 
     /// The single accused buyer, when exactly one clears `alpha`.

@@ -139,6 +139,18 @@ pub struct WatermarkSpec {
 }
 
 impl WatermarkSpec {
+    /// Reject a watermark whose length differs from the spec's.
+    pub(crate) fn check_mark(&self, wm: &Watermark) -> Result<(), CoreError> {
+        if wm.len() == self.wm_len {
+            return Ok(());
+        }
+        Err(CoreError::InvalidSpec(format!(
+            "watermark has {} bits but the spec declares {}",
+            wm.len(),
+            self.wm_len
+        )))
+    }
+
     /// Start building a spec for an attribute with value domain
     /// `domain`.
     #[must_use]

@@ -53,13 +53,7 @@ impl StreamMarker {
         attr_idx: usize,
         wm: &Watermark,
     ) -> Result<Self, CoreError> {
-        if wm.len() != spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                spec.wm_len
-            )));
-        }
+        spec.check_mark(wm)?;
         let wm_data = MajorityVotingEcc.encode(wm, spec.wm_data_len);
         let selector = FitnessSelector::new(&spec);
         Ok(StreamMarker { spec, wm_data, selector, key_idx, attr_idx })

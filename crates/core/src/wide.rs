@@ -102,13 +102,7 @@ impl<'a> WideCodec<'a> {
         target_attr: &str,
         wm: &Watermark,
     ) -> Result<usize, CoreError> {
-        if wm.len() != self.spec.wm_len {
-            return Err(CoreError::InvalidSpec(format!(
-                "watermark has {} bits but the spec declares {}",
-                wm.len(),
-                self.spec.wm_len
-            )));
-        }
+        self.spec.check_mark(wm)?;
         let key_idx = rel.schema().index_of(key_attr)?;
         let attr_idx = rel.schema().index_of(target_attr)?;
         let sel = FitnessSelector::new(self.spec);

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
 use catmark::core::keyfile::{from_key_file, to_key_file};
@@ -232,9 +232,13 @@ fn embed(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let session = bind_session(spec, &rel, key_attr, attr)?;
     let report = session.embed(&mut rel, &mark).map_err(CliError::run)?;
     let output_path = require(flags, "output")?;
-    let mut out =
+    let file =
         File::create(output_path).map_err(|e| CliError::Run(format!("{output_path}: {e}")))?;
+    // One syscall per buffer, not two per row. A dropped `BufWriter`
+    // swallows its final flush error, so flush explicitly.
+    let mut out = BufWriter::new(file);
     catmark::relation::csv::write_csv(&rel, &mut out).map_err(CliError::run)?;
+    out.flush().map_err(|e| CliError::Run(format!("{output_path}: {e}")))?;
     Ok(format!(
         "embedded {} into {}: {} tuples, {} fit, {} altered ({:.2}%)\n",
         mark,

@@ -8,7 +8,7 @@
 //! value encoding, the keyed-hash inputs, the fit-tuple selection, or
 //! the vote aggregation shows up as a golden mismatch.
 
-use catmark::core::{detect, MarkSession, Watermark, WatermarkSpec};
+use catmark::core::{detect, MarkSession, Pipeline, Watermark, WatermarkSpec};
 use catmark::datagen::{ItemScanConfig, SalesGenerator};
 use catmark::relation::Relation;
 
@@ -196,7 +196,7 @@ fn incremental_remark_matches_the_monolithic_path_on_goldens() {
             .store(Box::new(store.clone()))
             .from_relation(&rel)
             .unwrap();
-        session.embed_segmented_sequential(&mut seg, &wm).unwrap();
+        session.embed_segmented_with(&mut seg, &wm, None, Pipeline::Off).unwrap();
         let marked = log.commit(&mut seg, &store).unwrap();
 
         // Churn two segments, mirrored row-for-row onto a monolithic

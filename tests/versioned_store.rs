@@ -264,8 +264,11 @@ mod certified_cross_path {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Random relation, random mark, random segment geometry
-        /// (including empty trailing segments): the four certified
-        /// paths agree byte-for-byte and the bundle verifies keylessly.
+        /// (including empty trailing segments): the certified paths (a
+        /// cold and a warm vote cache over the live segments, and a
+        /// cold reopen of the version from the pile under a tight
+        /// pager budget) agree byte-for-byte, and the bundle verifies
+        /// keylessly.
         #[test]
         fn certified_bundles_are_path_independent(seed in any::<u64>()) {
             let mut next = rng_from(seed);
@@ -282,8 +285,6 @@ mod certified_cross_path {
             let v = log.commit(&mut seg, &store).unwrap();
             let manifest = log.get(v).unwrap().clone();
 
-            let segmented =
-                session.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
             let mut cache = VoteCache::new();
             let cold = session
                 .detect_certified_incremental(&mut seg, &wm, &manifest, &mut cache)
@@ -291,24 +292,23 @@ mod certified_cross_path {
             let warm = session
                 .detect_certified_incremental(&mut seg, &wm, &manifest, &mut cache)
                 .unwrap();
-            let mono = log
-                .open_version(v, rel.schema(), &store, None)
-                .unwrap()
-                .to_relation()
+            let budget = (rel.resident_bytes() / 4).max(1);
+            let mut reopened = log.open_version(v, rel.schema(), &store, Some(budget)).unwrap();
+            let reopened_cold = session
+                .detect_certified_incremental(&mut reopened, &wm, &manifest, &mut VoteCache::new())
                 .unwrap();
-            let monolithic = session.detect_certified_version(&mono, &wm, &manifest).unwrap();
+            let mono = reopened.to_relation().unwrap();
 
-            prop_assert_eq!(&segmented.bundle, &cold.bundle, "segmented vs cold incremental");
             prop_assert_eq!(&cold.bundle, &warm.bundle, "cold vs warm incremental");
-            prop_assert_eq!(&segmented.bundle, &monolithic.bundle, "segmented vs monolithic");
+            prop_assert_eq!(&cold.bundle, &reopened_cold.bundle, "live vs reopened segments");
 
             // The certified verdict is the fast path's verdict.
             let fast = session.detect(&mono, &wm).unwrap();
-            prop_assert_eq!(&segmented.outcome, &fast);
-            prop_assert_eq!(&monolithic.outcome, &fast);
+            prop_assert_eq!(&cold.outcome, &fast);
+            prop_assert_eq!(&warm.outcome, &fast);
 
             // And the bundle stands alone: no relation, no keys.
-            let summary = verify_evidence(&segmented.bundle).unwrap();
+            let summary = verify_evidence(&cold.bundle).unwrap();
             prop_assert_eq!(summary.segments, seg.segment_count());
             prop_assert!(summary.relation.starts_with(&format!("version {v}")));
         }
@@ -332,8 +332,12 @@ mod certified_cross_path {
             let manifest = log.get(v).unwrap().clone();
 
             let bob = session_over(&rel, "bob-key", tuples);
-            let a = alice.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
-            let b = bob.detect_certified_segmented(&mut seg, &wm, &manifest).unwrap();
+            let a = alice
+                .detect_certified_incremental(&mut seg, &wm, &manifest, &mut VoteCache::new())
+                .unwrap();
+            let b = bob
+                .detect_certified_incremental(&mut seg, &wm, &manifest, &mut VoteCache::new())
+                .unwrap();
             let sa = verify_evidence(&a.bundle).unwrap();
             let sb = verify_evidence(&b.bundle).unwrap();
             prop_assert!(sa.key_commitment != sb.key_commitment);
